@@ -23,7 +23,7 @@ use std::fmt;
 /// ```
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ArchReg(u8);
+pub struct ArchReg(pub(crate) u8);
 
 impl ArchReg {
     /// Number of integer registers.

@@ -158,6 +158,8 @@ pub struct Cache {
     // pointer chase.
     lines: Vec<Line>,
     set_mask: u64,
+    // log2 of the set count: the tag is the block number above it.
+    set_bits: u32,
     block_shift: u32,
     use_counter: u64,
     stats: CacheStats,
@@ -204,6 +206,7 @@ impl Cache {
             policy,
             lines: vec![Line::default(); cfg.assoc * sets],
             set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
             block_shift: cfg.block_bytes.trailing_zeros(),
             use_counter: 0,
             stats: CacheStats::default(),
@@ -241,10 +244,7 @@ impl Cache {
 
     fn index(&self, addr: Addr) -> (usize, u64) {
         let block = addr.0 >> self.block_shift;
-        (
-            (block & self.set_mask) as usize,
-            block >> self.set_mask.count_ones(),
-        )
+        ((block & self.set_mask) as usize, block >> self.set_bits)
     }
 
     /// Looks up `addr`, updating LRU and the dirty bit on a hit.
@@ -395,8 +395,7 @@ impl Cache {
     }
 
     fn rebuild_addr(&self, set: usize, tag: u64) -> Addr {
-        let set_bits = self.set_mask.count_ones();
-        Addr(((tag << set_bits) | set as u64) << self.block_shift)
+        Addr(((tag << self.set_bits) | set as u64) << self.block_shift)
     }
 }
 

@@ -534,6 +534,9 @@ impl Hierarchy {
     /// due L2/bus/DRAM events.
     pub fn tick(&mut self, now: u64) {
         self.now = self.now.max(now);
+        if self.retry.is_empty() && self.events.next_time().is_none_or(|at| at > now) {
+            return;
+        }
         // Retry L2-MSHR allocations that were rejected while full.
         while let Some(&(waiter, l2_block)) = self.retry.front() {
             if self.l2_mshr.is_full() && !self.l2_mshr.contains(l2_block) {
@@ -568,7 +571,9 @@ impl Hierarchy {
     /// `Vec` makes the hot loop allocation-free.
     pub fn take_completions_into(&mut self, out: &mut Vec<Completion>) {
         out.clear();
-        out.append(&mut self.completions);
+        if !self.completions.is_empty() {
+            out.append(&mut self.completions);
+        }
     }
 
     /// Takes all VSV mode-controller signals produced since the last
@@ -582,6 +587,9 @@ impl Hierarchy {
     /// [`Self::drain_vsv_signals`] this retains the buffer's capacity,
     /// so the steady-state hot loop never allocates.
     pub fn visit_vsv_signals(&mut self, mut f: impl FnMut(&VsvSignal)) {
+        if self.vsv_signals.is_empty() {
+            return;
+        }
         for sig in self.vsv_signals.drain(..) {
             f(&sig);
         }
@@ -597,7 +605,9 @@ impl Hierarchy {
     /// into `out` (cleared first), retaining both buffers' capacities.
     pub fn take_l1d_evictions_into(&mut self, out: &mut Vec<Addr>) {
         out.clear();
-        out.append(&mut self.l1d_evictions);
+        if !self.l1d_evictions.is_empty() {
+            out.append(&mut self.l1d_evictions);
+        }
     }
 
     /// The time of the next scheduled refill event, if any. Retries

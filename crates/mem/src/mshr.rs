@@ -55,6 +55,10 @@ pub struct MshrFile {
     peak_occupancy: usize,
     merges: u64,
     full_rejections: u64,
+    // Live entries with a demand target, kept at every allocate,
+    // merge, promotion and completion so the per-nanosecond
+    // `demand_occupancy` poll is O(1).
+    demand_entries: usize,
 }
 
 impl MshrFile {
@@ -78,6 +82,7 @@ impl MshrFile {
             peak_occupancy: 0,
             merges: 0,
             full_rejections: 0,
+            demand_entries: 0,
         }
     }
 
@@ -93,7 +98,10 @@ impl MshrFile {
                 return MshrOutcome::Full;
             }
             entry.targets.push(target);
-            entry.demand |= demand;
+            if demand && !entry.demand {
+                entry.demand = true;
+                self.demand_entries += 1;
+            }
             self.merges += 1;
             return MshrOutcome::Merged;
         }
@@ -106,6 +114,7 @@ impl MshrFile {
             targets: vec![target],
             demand,
         });
+        self.demand_entries += usize::from(demand);
         self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
         MshrOutcome::Primary
     }
@@ -116,6 +125,7 @@ impl MshrFile {
     pub fn complete(&mut self, block: Addr) -> Option<(Vec<u64>, bool)> {
         let idx = self.entries.iter().position(|e| e.block == block)?;
         let entry = self.entries.swap_remove(idx);
+        self.demand_entries -= usize::from(entry.demand);
         Some((entry.targets, entry.demand))
     }
 
@@ -137,7 +147,10 @@ impl MshrFile {
     pub fn promote_to_demand(&mut self, block: Addr) -> bool {
         match self.entries.iter_mut().find(|e| e.block == block) {
             Some(e) => {
-                e.demand = true;
+                if !e.demand {
+                    e.demand = true;
+                    self.demand_entries += 1;
+                }
                 true
             }
             None => false,
@@ -153,7 +166,12 @@ impl MshrFile {
     /// Number of live entries with at least one demand target.
     #[must_use]
     pub fn demand_occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.demand).count()
+        debug_assert_eq!(
+            self.demand_entries,
+            self.entries.iter().filter(|e| e.demand).count(),
+            "demand-entry count out of sync"
+        );
+        self.demand_entries
     }
 
     /// High-water mark of occupancy since construction.

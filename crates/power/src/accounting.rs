@@ -199,16 +199,20 @@ pub struct PowerAccountant {
     leakage_pj: f64,
     cycles: u64,
     ramps: u64,
-    // Per-voltage memo for the cycle integration: the variable-domain
-    // energy scale and each structure's zero-activity per-cycle delta
-    // at `memo_vdd`. Rebuilt whenever the supply changes (rare: mode
-    // transitions and ramp steps). An idle structure's contribution in
-    // `record_cycle` is `(0.0 + clock_e) * scale`, which is bitwise
-    // equal to the memoised `clock_e * scale`, so using the memo does
-    // not perturb results.
+    // Per-structure access energy and, under `DcgModel::PerStructure`,
+    // the clock energy of an idle and a busy cycle: fixed by the
+    // configuration.
+    access_pj: [f64; StructureId::ALL.len()],
+    idle_clock_pj: [f64; StructureId::ALL.len()],
+    busy_clock_pj: [f64; StructureId::ALL.len()],
+    // Per-voltage memo, rebuilt whenever the supply changes (rare:
+    // mode transitions and ramp steps): each structure's energy scale
+    // at `memo_vdd`, whether that is below VDDH, and the leakage
+    // charged per nanosecond there.
     memo_vdd: f64,
-    memo_scale_var: f64,
-    memo_idle_delta: [f64; StructureId::ALL.len()],
+    memo_scale: [f64; StructureId::ALL.len()],
+    memo_low_mode: bool,
+    memo_leakage_pj: f64,
 }
 
 impl PowerAccountant {
@@ -222,6 +226,15 @@ impl PowerAccountant {
         if let Err(e) = cfg.validate() {
             panic!("invalid power configuration: {e}");
         }
+        let access_pj = cfg.catalog.map(|p| p.access_energy_pj);
+        let idle_clock_pj = cfg.catalog.map(|p| {
+            if cfg.dcg_enabled && p.gateable {
+                p.clock_energy_pj * (1.0 - cfg.dcg_efficiency)
+            } else {
+                p.clock_energy_pj
+            }
+        });
+        let busy_clock_pj = cfg.catalog.map(|p| p.clock_energy_pj);
         PowerAccountant {
             cfg,
             per_structure_pj: [0.0; StructureId::ALL.len()],
@@ -231,43 +244,45 @@ impl PowerAccountant {
             leakage_pj: 0.0,
             cycles: 0,
             ramps: 0,
+            access_pj,
+            idle_clock_pj,
+            busy_clock_pj,
             memo_vdd: f64::NAN,
-            memo_scale_var: f64::NAN,
-            memo_idle_delta: [0.0; StructureId::ALL.len()],
+            memo_scale: [f64::NAN; StructureId::ALL.len()],
+            memo_low_mode: false,
+            memo_leakage_pj: f64::NAN,
         }
     }
 
     /// Rebuilds the per-voltage memo if `vdd` differs from the memoised
-    /// supply, and returns the variable-domain energy scale for `vdd`.
-    fn memoise_vdd(&mut self, vdd: f64) -> f64 {
-        if vdd.to_bits() == self.memo_vdd.to_bits() {
-            return self.memo_scale_var;
+    /// supply.
+    fn memoise_vdd(&mut self, vdd: f64) {
+        if vdd.to_bits() != self.memo_vdd.to_bits() {
+            self.rebuild_memo(vdd);
         }
+    }
+
+    #[cold]
+    fn rebuild_memo(&mut self, vdd: f64) {
         let scale_var = self.cfg.tech.energy_scale(vdd);
-        for (i, p) in self.cfg.catalog.iter().enumerate() {
-            let gated_residue = p.clock_energy_pj * (1.0 - self.cfg.dcg_efficiency);
-            let clock_e = if !(self.cfg.dcg_enabled && p.gateable) {
-                p.clock_energy_pj
-            } else {
-                match self.cfg.dcg_model {
-                    // An idle structure takes the gated branch...
-                    DcgModel::PerStructure => gated_residue,
-                    // ...and a zero-access PerUnit busy fraction is 0.
-                    DcgModel::PerUnit => {
-                        let busy = (0.0 / f64::from(self.cfg.units[i].max(1))).min(1.0);
-                        busy * p.clock_energy_pj + (1.0 - busy) * gated_residue
-                    }
-                }
-            };
-            let scale = match p.domain {
-                VddDomain::Variable => scale_var,
-                VddDomain::Fixed => 1.0,
-            };
-            self.memo_idle_delta[i] = clock_e * scale;
-        }
+        self.memo_scale = self.cfg.catalog.map(|p| match p.domain {
+            VddDomain::Variable => scale_var,
+            VddDomain::Fixed => 1.0,
+        });
+        self.memo_low_mode = vdd < self.cfg.tech.vddh - 1e-9;
+        self.memo_leakage_pj = self.leakage_delta_pj(vdd);
         self.memo_vdd = vdd;
-        self.memo_scale_var = scale_var;
-        scale_var
+    }
+
+    /// Static energy of one nanosecond at `vdd`, in picojoules.
+    /// Leakage on the variable domain scales as `(V/VDDH)³` (§1's
+    /// cited dependence); the fixed-domain share does not scale.
+    fn leakage_delta_pj(&self, vdd: f64) -> f64 {
+        let ratio = vdd / self.cfg.tech.vddh;
+        let var = self.cfg.leakage_w * self.cfg.leakage_variable_fraction * ratio.powi(3);
+        let fixed = self.cfg.leakage_w * (1.0 - self.cfg.leakage_variable_fraction);
+        // 1 W for 1 ns = 1000 pJ.
+        (var + fixed) * 1e3
     }
 
     /// The configuration in force.
@@ -278,37 +293,42 @@ impl PowerAccountant {
 
     /// Integrates one pipeline cycle of activity at effective supply
     /// `vdd` (volts) on the variable domain.
+    ///
+    /// Each structure is charged `(access_e + clock_e) * scale`: its
+    /// accesses times the access energy, plus the clock energy the
+    /// gating model leaves it this cycle, scaled by `(V/VDDH)²` on the
+    /// variable domain.
     pub fn record_cycle(&mut self, sample: &ActivitySample, vdd: f64) {
-        let scale_var = self.memoise_vdd(vdd);
-        let low_mode = vdd < self.cfg.tech.vddh - 1e-9;
-        for (i, p) in self.cfg.catalog.iter().enumerate() {
-            if sample[i] == 0 {
-                // Zero activity: `(0.0 + clock_e) * scale` is bitwise
-                // the memoised idle delta.
-                self.per_structure_pj[i] += self.memo_idle_delta[i];
-                continue;
+        self.memoise_vdd(vdd);
+        match self.cfg.dcg_model {
+            DcgModel::PerStructure => {
+                for (i, &accesses) in sample.iter().enumerate() {
+                    let access_e = f64::from(accesses) * self.access_pj[i];
+                    // A select, not a branch on the activity.
+                    let clock_e = if accesses == 0 {
+                        self.idle_clock_pj[i]
+                    } else {
+                        self.busy_clock_pj[i]
+                    };
+                    self.per_structure_pj[i] += (access_e + clock_e) * self.memo_scale[i];
+                }
             }
-            let accesses = f64::from(sample[i]);
-            let access_e = accesses * p.access_energy_pj;
-            let gated_residue = p.clock_energy_pj * (1.0 - self.cfg.dcg_efficiency);
-            let clock_e = if !(self.cfg.dcg_enabled && p.gateable) {
-                p.clock_energy_pj
-            } else {
-                match self.cfg.dcg_model {
-                    DcgModel::PerStructure => p.clock_energy_pj,
-                    DcgModel::PerUnit => {
+            DcgModel::PerUnit => {
+                for (i, p) in self.cfg.catalog.iter().enumerate() {
+                    let accesses = f64::from(sample[i]);
+                    let access_e = accesses * p.access_energy_pj;
+                    let clock_e = if self.cfg.dcg_enabled && p.gateable {
+                        let gated_residue = p.clock_energy_pj * (1.0 - self.cfg.dcg_efficiency);
                         let busy = (accesses / f64::from(self.cfg.units[i].max(1))).min(1.0);
                         busy * p.clock_energy_pj + (1.0 - busy) * gated_residue
-                    }
+                    } else {
+                        p.clock_energy_pj
+                    };
+                    self.per_structure_pj[i] += (access_e + clock_e) * self.memo_scale[i];
                 }
-            };
-            let scale = match p.domain {
-                VddDomain::Variable => scale_var,
-                VddDomain::Fixed => 1.0,
-            };
-            self.per_structure_pj[i] += (access_e + clock_e) * scale;
+            }
         }
-        if low_mode {
+        if self.memo_low_mode {
             // Level-converting latches on the paths into the VDDH RAM
             // structures are selected instead of the regular latches.
             let ram_accesses = u64::from(sample[StructureId::RegFile.index()])
@@ -331,30 +351,14 @@ impl PowerAccountant {
         if cycles == 0 {
             return;
         }
-        let scale_var = self.cfg.tech.energy_scale(vdd);
+        // An idle structure's clock energy is the gated one under both
+        // gating models (a zero `PerUnit` busy fraction leaves exactly
+        // the gated residue).
+        self.memoise_vdd(vdd);
         let mut delta = [0.0f64; StructureId::ALL.len()];
-        for (i, p) in self.cfg.catalog.iter().enumerate() {
-            let accesses = f64::from(0u32);
-            let access_e = accesses * p.access_energy_pj;
-            let gated_residue = p.clock_energy_pj * (1.0 - self.cfg.dcg_efficiency);
-            let clock_e = if !(self.cfg.dcg_enabled && p.gateable) {
-                p.clock_energy_pj
-            } else {
-                match self.cfg.dcg_model {
-                    // An idle structure takes the gated branch...
-                    DcgModel::PerStructure => gated_residue,
-                    // ...and a zero-access PerUnit busy fraction is 0.
-                    DcgModel::PerUnit => {
-                        let busy = (accesses / f64::from(self.cfg.units[i].max(1))).min(1.0);
-                        busy * p.clock_energy_pj + (1.0 - busy) * gated_residue
-                    }
-                }
-            };
-            let scale = match p.domain {
-                VddDomain::Variable => scale_var,
-                VddDomain::Fixed => 1.0,
-            };
-            delta[i] = (access_e + clock_e) * scale;
+        for (i, d) in delta.iter_mut().enumerate() {
+            let access_e = f64::from(0u32) * self.access_pj[i];
+            *d = (access_e + self.idle_clock_pj[i]) * self.memo_scale[i];
         }
         for _ in 0..cycles {
             for (acc, d) in self.per_structure_pj.iter_mut().zip(delta.iter()) {
@@ -375,10 +379,7 @@ impl PowerAccountant {
         if self.cfg.leakage_w == 0.0 {
             return;
         }
-        let ratio = vdd / self.cfg.tech.vddh;
-        let var = self.cfg.leakage_w * self.cfg.leakage_variable_fraction * ratio.powi(3);
-        let fixed = self.cfg.leakage_w * (1.0 - self.cfg.leakage_variable_fraction);
-        let delta = (var + fixed) * 1e3;
+        let delta = self.leakage_delta_pj(vdd);
         for _ in 0..ns {
             self.leakage_pj += delta;
         }
@@ -393,11 +394,8 @@ impl PowerAccountant {
         if self.cfg.leakage_w == 0.0 {
             return;
         }
-        let ratio = vdd / self.cfg.tech.vddh;
-        let var = self.cfg.leakage_w * self.cfg.leakage_variable_fraction * ratio.powi(3);
-        let fixed = self.cfg.leakage_w * (1.0 - self.cfg.leakage_variable_fraction);
-        // 1 W for 1 ns = 1000 pJ.
-        self.leakage_pj += (var + fixed) * 1e3;
+        self.memoise_vdd(vdd);
+        self.leakage_pj += self.memo_leakage_pj;
     }
 
     /// Charges one full-swing supply ramp (either direction): the

@@ -33,7 +33,7 @@ use vsv_prefetch::TimeKeeping;
 
 use crate::activity::{CoreStats, CycleActivity};
 use crate::bpred::BranchPredictor;
-use crate::config::CoreConfig;
+use crate::config::{CoreConfig, OpLatencies};
 use crate::fu::FuSet;
 use crate::ruu::{Ruu, Seq};
 
@@ -70,6 +70,8 @@ pub struct Core<S> {
     peeked: Option<Inst>,
     ruu: Ruu,
     fus: FuSet,
+    // Execution latency by `OpClass::index`.
+    latencies: [u32; OpClass::ALL.len()],
     bpred: BranchPredictor,
     mem: Hierarchy,
     tk: Option<TimeKeeping>,
@@ -94,8 +96,6 @@ pub struct Core<S> {
     // loop performs no heap allocation.
     completion_scratch: Vec<Completion>,
     eviction_scratch: Vec<Addr>,
-    ready_scratch: Vec<Seq>,
-    writeback_scratch: Vec<Seq>,
 }
 
 impl<S: InstStream> Core<S> {
@@ -124,6 +124,7 @@ impl<S: InstStream> Core<S> {
         Ok(Core {
             ruu: Ruu::new(cfg.ruu_entries, cfg.lsq_entries),
             fus: FuSet::new(&cfg),
+            latencies: latency_table(&cfg.latencies),
             bpred: BranchPredictor::new(cfg.bpred),
             l1i_block_bytes: mem.config().l1i.block_bytes,
             l1d_block_bytes: mem.config().l1d.block_bytes,
@@ -144,8 +145,6 @@ impl<S: InstStream> Core<S> {
             stats: CoreStats::default(),
             completion_scratch: Vec::new(),
             eviction_scratch: Vec::new(),
-            ready_scratch: Vec::new(),
-            writeback_scratch: Vec::new(),
             cfg,
         })
     }
@@ -291,6 +290,9 @@ impl<S: InstStream> Core<S> {
     /// nanosecond) and runs the prefetch engine.
     pub fn tick_mem(&mut self, now: u64) {
         self.mem.tick(now);
+        if self.tk.is_none() && !self.mem.has_buffered_l1d_evictions() {
+            return;
+        }
         let mut victims = std::mem::take(&mut self.eviction_scratch);
         self.mem.take_l1d_evictions_into(&mut victims);
         if let Some(tk) = self.tk.as_mut() {
@@ -334,6 +336,9 @@ impl<S: InstStream> Core<S> {
     /// Absorbs refill completions from the ns domain into this clock
     /// edge: missing loads complete; a pending I-fetch resumes.
     fn drain_memory(&mut self, now: u64, act: &mut CycleActivity) {
+        if !self.mem.has_buffered_completions() {
+            return;
+        }
         let mut completions = std::mem::take(&mut self.completion_scratch);
         self.mem.take_completions_into(&mut completions);
         for c in &completions {
@@ -356,12 +361,9 @@ impl<S: InstStream> Core<S> {
     /// Completes instructions whose functional-unit latency elapses at
     /// this cycle.
     fn writeback(&mut self, cycle: u64, act: &mut CycleActivity) {
-        let mut done = std::mem::take(&mut self.writeback_scratch);
-        self.exec_done.pop_at_into(cycle, &mut done);
-        for &seq in &done {
+        while let Some(seq) = self.exec_done.pop_at(cycle) {
             self.complete_entry(seq, act);
         }
-        self.writeback_scratch = done;
     }
 
     fn complete_entry(&mut self, seq: Seq, act: &mut CycleActivity) {
@@ -387,72 +389,76 @@ impl<S: InstStream> Core<S> {
 
     /// In-order commit; stores write the D-cache here.
     fn commit(&mut self, now: u64, act: &mut CycleActivity) {
-        while u64::from(act.committed) < self.cfg.commit_width as u64 {
+        let mut committed = 0u32;
+        while (committed as usize) < self.cfg.commit_width {
             let Some(head) = self.ruu.commit_ready() else {
                 break;
             };
-            let inst = head.inst;
-            let mispredicted = head.mispredicted;
-            if inst.op() == OpClass::Store {
-                let addr = inst.mem_addr().expect("store has an address");
+            let (inst, mispredicted) = (head.inst, head.mispredicted);
+            let op = inst.op();
+            if op == OpClass::Store && !self.commit_store(now, inst) {
+                // Retry next cycle; commit stalls here to stay in
+                // order.
                 act.dl1_accesses += 1;
                 act.lsq_accesses += 1;
-                match self.mem.access_data(now, addr, AccessKind::Write) {
-                    L1Outcome::Blocked(_) => {
-                        // Retry next cycle; commit stalls here to stay
-                        // in order.
-                        break;
-                    }
-                    L1Outcome::Hit | L1Outcome::PrefetchBufferHit => {
-                        if let Some(tk) = self.tk.as_mut() {
-                            tk.on_access(now, addr);
-                        }
-                    }
-                    L1Outcome::Miss(token) => {
-                        // Write-buffer semantics: commit proceeds; the
-                        // fill is tracked only for the prefetch engine.
-                        if self.tk.is_some() {
-                            self.pending_fills.insert(token, addr);
-                        }
-                        if let Some(tk) = self.tk.as_mut() {
-                            tk.on_miss(now, addr);
-                        }
-                    }
-                }
-            }
-            let entry = self.ruu.pop_commit();
-            debug_assert_eq!(entry.inst.pc(), inst.pc());
-            act.committed += 1;
-            self.stats.committed += 1;
-            match inst.op() {
-                OpClass::Load => self.stats.loads += 1,
-                OpClass::Store => self.stats.stores += 1,
-                OpClass::Prefetch => self.stats.sw_prefetches += 1,
-                OpClass::Branch => {
-                    self.stats.branches += 1;
-                    if mispredicted {
-                        self.stats.mispredicts += 1;
-                    }
-                    let info = inst.branch_info().expect("branch has info");
-                    self.bpred
-                        .update(inst.pc(), info.kind, info.taken, info.target);
-                    act.bpred_accesses += 1;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Out-of-order issue of up to `issue_width` ready instructions.
-    fn issue(&mut self, now: u64, cycle: u64, act: &mut CycleActivity) {
-        let mut candidates = std::mem::take(&mut self.ready_scratch);
-        self.ruu
-            .ready_seqs_into(self.cfg.ruu_entries, &mut candidates);
-        let mut issued = 0usize;
-        for &seq in &candidates {
-            if issued >= self.cfg.issue_width {
                 break;
             }
+            self.ruu.pop_commit();
+            committed += 1;
+            let stores = u32::from(op == OpClass::Store);
+            act.dl1_accesses += stores;
+            act.lsq_accesses += stores;
+            self.stats.loads += u64::from(op == OpClass::Load);
+            self.stats.stores += u64::from(stores);
+            self.stats.sw_prefetches += u64::from(op == OpClass::Prefetch);
+            if let Some(info) = inst.branch_info() {
+                self.stats.branches += 1;
+                self.stats.mispredicts += u64::from(mispredicted);
+                self.bpred
+                    .update(inst.pc(), info.kind, info.taken, info.target);
+                act.bpred_accesses += 1;
+            }
+        }
+        act.committed += committed;
+        self.stats.committed += u64::from(committed);
+    }
+
+    /// Writes the committing store `inst` to the D-cache. Returns
+    /// `false` when the cache cannot accept it this cycle.
+    fn commit_store(&mut self, now: u64, inst: Inst) -> bool {
+        let addr = inst.mem_addr().expect("store has an address");
+        match self.mem.access_data(now, addr, AccessKind::Write) {
+            L1Outcome::Blocked(_) => return false,
+            L1Outcome::Hit | L1Outcome::PrefetchBufferHit => {
+                if let Some(tk) = self.tk.as_mut() {
+                    tk.on_access(now, addr);
+                }
+            }
+            L1Outcome::Miss(token) => {
+                // Write-buffer semantics: commit proceeds; the fill is
+                // tracked only for the prefetch engine.
+                if let Some(tk) = self.tk.as_mut() {
+                    self.pending_fills.insert(token, addr);
+                    tk.on_miss(now, addr);
+                }
+            }
+        }
+        true
+    }
+
+    /// Out-of-order issue of up to `issue_width` ready instructions,
+    /// oldest first. The walk over the ready set is lazy: it stops as
+    /// soon as the width is used up.
+    fn issue(&mut self, now: u64, cycle: u64, act: &mut CycleActivity) {
+        // Ops issued per `EXEC_COUNTER` slot, added to `act` at the end.
+        let mut exec_ops = [0u32; 5];
+        let mut issued = 0usize;
+        let mut cursor: Seq = 0;
+        while issued < self.cfg.issue_width {
+            let Some(seq) = self.ruu.next_ready(cursor) else {
+                break;
+            };
+            cursor = seq + 1;
             let inst = match self.ruu.entry(seq) {
                 Some(e) => e.inst,
                 None => continue,
@@ -460,86 +466,36 @@ impl<S: InstStream> Core<S> {
             let op = inst.op();
 
             // Functional-unit availability (NOPs use none).
-            let latency = self.latency_for(op);
             let fu_done = match self.fus.pool_for(op) {
-                Some(pool) => match pool.try_issue(cycle, latency) {
-                    Some(done) => Some(done),
+                Some(pool) => match pool.try_issue(cycle, self.latencies[op.index()]) {
+                    Some(done) => done,
                     None => continue, // structural hazard: try younger ops
                 },
-                None => None,
+                None => cycle + 1,
             };
 
-            // Memory ops talk to the D-side now.
-            let completion_cycle = match op {
-                OpClass::Load => {
-                    let addr = inst.mem_addr().expect("load has an address");
-                    act.lsq_accesses += 1;
-                    if self.cfg.conservative_mem_disambiguation
-                        && self.ruu.has_older_store(seq)
-                        && !self
-                            .ruu
-                            .older_store_to_block(seq, addr, self.l1d_block_bytes)
-                    {
-                        // Conservative mode: loads wait behind every
-                        // older store (same-block stores still forward
-                        // below).
-                        continue;
-                    }
-                    if self
-                        .ruu
-                        .older_store_to_block(seq, addr, self.l1d_block_bytes)
-                    {
-                        self.stats.forwarded_loads += 1;
-                        Some(cycle + 1)
-                    } else {
-                        act.dl1_accesses += 1;
-                        match self.mem.access_data(now, addr, AccessKind::Read) {
-                            L1Outcome::Hit => {
-                                if let Some(tk) = self.tk.as_mut() {
-                                    tk.on_access(now, addr);
-                                }
-                                Some(cycle + u64::from(self.cfg.l1_hit_latency))
-                            }
-                            L1Outcome::PrefetchBufferHit => {
-                                if let Some(tk) = self.tk.as_mut() {
-                                    tk.on_fill(now, addr);
-                                    tk.on_access(now, addr);
-                                }
-                                Some(cycle + u64::from(self.cfg.pb_hit_latency))
-                            }
-                            L1Outcome::Miss(token) => {
-                                self.pending_loads.insert(token, seq);
-                                if self.tk.is_some() {
-                                    self.pending_fills.insert(token, addr);
-                                }
-                                if let Some(tk) = self.tk.as_mut() {
-                                    tk.on_miss(now, addr);
-                                }
-                                None // completes via drain_memory
-                            }
-                            L1Outcome::Blocked(_) => {
-                                self.stats.mshr_blocked_issues += 1;
-                                continue; // stays Ready; retry next cycle
-                            }
-                        }
-                    }
+            let completion_cycle = if op == OpClass::Load {
+                // Loads talk to the D-side now.
+                match self.issue_load(now, cycle, seq, inst, act) {
+                    Some(done) => done,
+                    None => continue, // stays Ready; retry next cycle
                 }
-                OpClass::Prefetch => {
-                    let addr = inst.mem_addr().expect("prefetch has an address");
+            } else {
+                if op == OpClass::Prefetch {
                     act.dl1_accesses += 1;
                     // Non-binding: issue the access and complete
                     // immediately whatever the outcome.
+                    let addr = inst.mem_addr().expect("prefetch has an address");
                     let _ = self.mem.access_data(now, addr, AccessKind::SwPrefetch);
-                    Some(cycle + 1)
                 }
-                OpClass::Store => {
-                    // Address generation; the cache write happens at
-                    // commit.
-                    act.lsq_accesses += 1;
-                    Some(cycle + 1)
-                }
-                OpClass::Nop => Some(cycle + 1),
-                _ => fu_done,
+                // A store generates its address now; the cache write
+                // happens at commit.
+                act.lsq_accesses += u32::from(op == OpClass::Store);
+                Some(if completes_next_cycle(op) {
+                    cycle + 1
+                } else {
+                    fu_done
+                })
             };
 
             self.ruu.mark_issued(seq, cycle);
@@ -547,29 +503,70 @@ impl<S: InstStream> Core<S> {
                 self.exec_done.push(done, seq);
             }
             issued += 1;
-            act.issued += 1;
-            act.ruu_reads += 1;
             act.regfile_reads += inst.srcs().iter().flatten().count() as u32;
-            match op {
-                OpClass::IntMulDiv => act.int_muldiv_ops += 1,
-                OpClass::FpAlu => act.fp_alu_ops += 1,
-                OpClass::FpMulDiv => act.fp_muldiv_ops += 1,
-                OpClass::Nop => {}
-                _ => act.int_alu_ops += 1,
-            }
+            exec_ops[EXEC_COUNTER[op.index()]] += 1;
         }
-        self.ready_scratch = candidates;
+        act.issued += issued as u32;
+        act.ruu_reads += issued as u32;
+        act.int_alu_ops += exec_ops[0];
+        act.int_muldiv_ops += exec_ops[1];
+        act.fp_alu_ops += exec_ops[2];
+        act.fp_muldiv_ops += exec_ops[3];
     }
 
-    fn latency_for(&self, op: OpClass) -> u32 {
-        let l = &self.cfg.latencies;
-        match op {
-            OpClass::IntAlu | OpClass::Load | OpClass::Store | OpClass::Prefetch => l.int_alu,
-            OpClass::IntMulDiv => l.int_muldiv,
-            OpClass::FpAlu => l.fp_alu,
-            OpClass::FpMulDiv => l.fp_muldiv,
-            OpClass::Branch => l.branch,
-            OpClass::Nop => 1,
+    /// Issues the load `seq`: forwards from an older same-block store
+    /// or accesses the D-cache. Returns `None` when the load cannot
+    /// issue this cycle, else `Some` of its completion cycle, itself
+    /// `None` when a miss completes it later, through `drain_memory`.
+    fn issue_load(
+        &mut self,
+        now: u64,
+        cycle: u64,
+        seq: Seq,
+        inst: Inst,
+        act: &mut CycleActivity,
+    ) -> Option<Option<u64>> {
+        let addr = inst.mem_addr().expect("load has an address");
+        act.lsq_accesses += 1;
+        let forwards = self
+            .ruu
+            .older_store_to_block(seq, addr, self.l1d_block_bytes);
+        if self.cfg.conservative_mem_disambiguation && !forwards && self.ruu.has_older_store(seq) {
+            // Conservative mode: loads wait behind every older store
+            // (same-block stores still forward below).
+            return None;
+        }
+        if forwards {
+            self.stats.forwarded_loads += 1;
+            return Some(Some(cycle + 1));
+        }
+        act.dl1_accesses += 1;
+        match self.mem.access_data(now, addr, AccessKind::Read) {
+            L1Outcome::Hit => {
+                if let Some(tk) = self.tk.as_mut() {
+                    tk.on_access(now, addr);
+                }
+                Some(Some(cycle + u64::from(self.cfg.l1_hit_latency)))
+            }
+            L1Outcome::PrefetchBufferHit => {
+                if let Some(tk) = self.tk.as_mut() {
+                    tk.on_fill(now, addr);
+                    tk.on_access(now, addr);
+                }
+                Some(Some(cycle + u64::from(self.cfg.pb_hit_latency)))
+            }
+            L1Outcome::Miss(token) => {
+                self.pending_loads.insert(token, seq);
+                if let Some(tk) = self.tk.as_mut() {
+                    self.pending_fills.insert(token, addr);
+                    tk.on_miss(now, addr);
+                }
+                Some(None) // completes via drain_memory
+            }
+            L1Outcome::Blocked(_) => {
+                self.stats.mshr_blocked_issues += 1;
+                None
+            }
         }
     }
 
@@ -629,7 +626,7 @@ impl<S: InstStream> Core<S> {
                     L1Outcome::Blocked(_) => return,
                 }
             }
-            let inst = self.take_stream().expect("peeked");
+            self.peeked = None;
             act.fetched += 1;
 
             if let Some(info) = inst.branch_info() {
@@ -665,12 +662,6 @@ impl<S: InstStream> Core<S> {
         }
         self.peeked
     }
-
-    fn take_stream(&mut self) -> Option<Inst> {
-        let i = self.peek_stream();
-        self.peeked = None;
-        i
-    }
 }
 
 /// A calendar-wheel schedule of functional-unit completions, indexed
@@ -682,20 +673,46 @@ impl<S: InstStream> Core<S> {
 /// a slot pop in insertion order, matching the FIFO tie-break of the
 /// event queue this replaces, so simulated results are unchanged — the
 /// wheel just makes the every-cycle writeback poll O(1) with no heap.
+///
+/// Each slot is a FIFO threaded through one `next` link array: links
+/// `0..slots` are the slots' heads and link `slots + n` follows entry
+/// node `n`. An empty slot's tail is its own head link, so appending
+/// is the same two stores either way. Retired nodes are recycled, so
+/// the steady state never allocates.
 #[derive(Debug)]
 struct ExecWheel {
-    slots: Vec<Vec<(u64, Seq)>>,
+    // Per slot: the completion cycle it holds, and the link its next
+    // entry is appended at.
+    at: Vec<u64>,
+    tail: Vec<u32>,
+    next: Vec<u32>,
+    // Per node: the entry's sequence number.
+    seqs: Vec<Seq>,
+    // First free node link (`NIL` when none is free); free nodes chain
+    // through `next`.
+    free: u32,
     mask: u64,
     pending: usize,
 }
+
+/// The null link.
+const NIL: u32 = u32::MAX;
 
 impl ExecWheel {
     fn new() -> Self {
         // 64 slots cover every latency in `OpLatencies::table1` with
         // room to spare; the wheel grows on demand for larger configs.
+        Self::with_slots(64)
+    }
+
+    fn with_slots(slots: usize) -> Self {
         ExecWheel {
-            slots: vec![Vec::new(); 64],
-            mask: 63,
+            at: vec![0; slots],
+            tail: (0..slots as u32).collect(),
+            next: vec![NIL; slots],
+            seqs: Vec::new(),
+            free: NIL,
+            mask: slots as u64 - 1,
             pending: 0,
         }
     }
@@ -707,22 +724,41 @@ impl ExecWheel {
     /// Schedules `seq` to complete at cycle `done`.
     fn push(&mut self, done: u64, seq: Seq) {
         let idx = (done & self.mask) as usize;
-        if self.slots[idx].first().is_some_and(|&(at, _)| at != done) {
+        if self.next[idx] != NIL && self.at[idx] != done {
             self.grow(done);
             return self.push(done, seq);
         }
-        self.slots[idx].push((done, seq));
+        let slots = self.at.len() as u32;
+        let node = if self.free == NIL {
+            self.next.push(NIL);
+            self.seqs.push(seq);
+            self.next.len() as u32 - 1
+        } else {
+            let node = self.free;
+            self.free = self.next[node as usize];
+            self.next[node as usize] = NIL;
+            self.seqs[(node - slots) as usize] = seq;
+            node
+        };
+        let tail = self.tail[idx];
+        self.next[tail as usize] = node;
+        self.tail[idx] = node;
+        self.at[idx] = done;
         self.pending += 1;
     }
 
     /// Doubles the wheel until `done` no longer collides, preserving
     /// per-slot insertion order.
     fn grow(&mut self, done: u64) {
-        let mut all: Vec<(u64, Seq)> = self
-            .slots
-            .iter_mut()
-            .flat_map(|slot| slot.drain(..))
-            .collect();
+        let slots = self.at.len();
+        let mut all: Vec<(u64, Seq)> = Vec::with_capacity(self.pending);
+        for (idx, &at) in self.at.iter().enumerate() {
+            let mut link = self.next[idx];
+            while link != NIL {
+                all.push((at, self.seqs[link as usize - slots]));
+                link = self.next[link as usize];
+            }
+        }
         // Re-bucketing must keep FIFO order within a completion time;
         // a stable sort by time only (original order preserved within
         // equal times) guarantees it regardless of slot layout.
@@ -744,28 +780,66 @@ impl ExecWheel {
         while needs(size) {
             size *= 2;
         }
-        self.slots = vec![Vec::new(); size as usize];
-        self.mask = size - 1;
-        self.pending = 0;
+        *self = Self::with_slots(size as usize);
         for (at, seq) in all {
             self.push(at, seq);
         }
     }
 
-    /// Drains every completion scheduled for exactly `cycle` into
-    /// `out` (cleared first), in insertion order.
-    fn pop_at_into(&mut self, cycle: u64, out: &mut Vec<Seq>) {
-        out.clear();
+    /// Pops the oldest completion scheduled for exactly `cycle`, if
+    /// any remains.
+    fn pop_at(&mut self, cycle: u64) -> Option<Seq> {
         if self.pending == 0 {
-            return;
+            return None;
         }
-        let slot = &mut self.slots[(cycle & self.mask) as usize];
-        if slot.first().is_some_and(|&(at, _)| at == cycle) {
-            self.pending -= slot.len();
-            out.extend(slot.drain(..).map(|(_, seq)| seq));
+        let idx = (cycle & self.mask) as usize;
+        let node = self.next[idx];
+        if node == NIL || self.at[idx] != cycle {
+            return None;
         }
+        let after = self.next[node as usize];
+        self.next[idx] = after;
+        if after == NIL {
+            self.tail[idx] = idx as u32;
+        }
+        self.next[node as usize] = self.free;
+        self.free = node;
+        self.pending -= 1;
+        Some(self.seqs[node as usize - self.at.len()])
     }
 }
+
+/// Execution latency of each op class, by [`OpClass::index`].
+fn latency_table(l: &OpLatencies) -> [u32; OpClass::ALL.len()] {
+    OpClass::ALL.map(|op| match op {
+        OpClass::IntAlu | OpClass::Load | OpClass::Store | OpClass::Prefetch => l.int_alu,
+        OpClass::IntMulDiv => l.int_muldiv,
+        OpClass::FpAlu => l.fp_alu,
+        OpClass::FpMulDiv => l.fp_muldiv,
+        OpClass::Branch => l.branch,
+        OpClass::Nop => 1,
+    })
+}
+
+/// Whether an op class completes the cycle after it issues, whatever
+/// its functional unit's latency: a store's address generation, a
+/// (non-binding) software prefetch and a NOP.
+fn completes_next_cycle(op: OpClass) -> bool {
+    matches!(op, OpClass::Store | OpClass::Prefetch | OpClass::Nop)
+}
+
+/// The `CycleActivity` execution counter each op class charges at
+/// issue, by [`OpClass::index`]: 0 integer ALU (address generation and
+/// branches included), 1 integer mul/div, 2 FP ALU, 3 FP mul/div, 4
+/// none (NOPs).
+const EXEC_COUNTER: [usize; OpClass::ALL.len()] = {
+    let mut t = [0; OpClass::ALL.len()];
+    t[OpClass::IntMulDiv as usize] = 1;
+    t[OpClass::FpAlu as usize] = 2;
+    t[OpClass::FpMulDiv as usize] = 3;
+    t[OpClass::Nop as usize] = 4;
+    t
+};
 
 /// Whether a fetch-time prediction matches the resolved outcome.
 fn prediction_correct(pred: &crate::bpred::Prediction, actual: &BranchInfo) -> bool {
@@ -814,6 +888,32 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn exec_wheel_pops_fifo_per_cycle_and_survives_growth() {
+        let mut w = ExecWheel::new();
+        w.push(5, 1);
+        w.push(3, 2);
+        w.push(5, 3);
+        // 69 shares slot 5 with cycle 5: the wheel must grow.
+        w.push(69, 4);
+        w.push(5, 5);
+        assert_eq!(w.pop_at(3), Some(2));
+        assert_eq!(w.pop_at(3), None);
+        let at5: Vec<Seq> = std::iter::from_fn(|| w.pop_at(5)).collect();
+        assert_eq!(at5, vec![1, 3, 5]);
+        assert!(!w.is_empty());
+        assert_eq!(w.pop_at(69), Some(4));
+        assert!(w.is_empty());
+        // Recycled nodes keep later slots intact.
+        w.push(70, 6);
+        w.push(71, 7);
+        w.push(70, 8);
+        assert_eq!(w.pop_at(70), Some(6));
+        assert_eq!(w.pop_at(70), Some(8));
+        assert_eq!(w.pop_at(71), Some(7));
+        assert!(w.is_empty());
     }
 
     #[test]

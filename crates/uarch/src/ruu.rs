@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use vsv_isa::{Addr, ArchReg, Inst, OpClass};
+use vsv_isa::{Addr, ArchReg, Inst, OpClass, Pc};
 
 /// A dynamic-instruction sequence number: dense, monotonically
 /// increasing in program order.
@@ -24,26 +24,29 @@ pub enum EntryState {
 }
 
 /// One in-flight instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RuuEntry {
     /// Program-order sequence number.
     pub seq: Seq,
     /// The instruction itself.
     pub inst: Inst,
+    /// Cycle the entry was issued (for occupancy stats).
+    pub issued_at: Option<u64>,
     /// Current lifecycle state.
     pub state: EntryState,
     /// Unresolved source dependences.
     pub deps_outstanding: u8,
-    /// Entries waiting on this one's result.
-    pub consumers: Vec<Seq>,
     /// Set at dispatch for branches whose fetch-time prediction was
     /// wrong; fetch resumes `penalty` cycles after this resolves.
     pub mispredicted: bool,
-    /// Cycle the entry was issued (for occupancy stats).
-    pub issued_at: Option<u64>,
 }
 
 /// The register update unit plus LSQ occupancy accounting.
+///
+/// The window is a ring of `capacity.next_power_of_two()` slots; the
+/// entry with sequence number `seq` lives in slot `seq & mask` from
+/// dispatch until commit, so no entry ever moves. Per-slot bitmaps over
+/// the same slots hold the ready set and each producer's consumers.
 ///
 /// # Examples
 ///
@@ -64,33 +67,45 @@ pub struct RuuEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ruu {
-    entries: VecDeque<RuuEntry>,
+    slots: Box<[RuuEntry]>,
+    mask: u64,
     head_seq: Seq,
     next_seq: Seq,
     capacity: usize,
     lsq_capacity: usize,
     lsq_occupancy: usize,
-    reg_producer: [Option<Seq>; ArchReg::COUNT],
+    // The in-flight producer of each register, `NO_PRODUCER` when the
+    // value lives in the register file; indexed by `ArchReg::index`,
+    // plus `NO_SRC` (never written) and `NO_DST` (written, never read).
+    reg_producer: [Seq; ArchReg::COUNT + 2],
     peak_occupancy: usize,
     // Count of entries in `EntryState::Ready`, maintained at every
-    // state transition so the issue stage can skip its window scan
+    // state transition so the issue stage can skip its window walk
     // (and the fast-forward path can test quiescence) in O(1).
     ready_count: usize,
-    // In-flight store sequence numbers, oldest first. Entries only
-    // leave the window through in-order commit, so this stays sorted,
-    // which makes `has_older_store` O(1) and `older_store_to_block` a
-    // scan over stores only instead of the whole window.
-    store_seqs: VecDeque<Seq>,
-    // Bit i set ⇔ the entry at window index i (seq = head_seq + i) is
-    // Ready. Lets `ready_seqs_into` walk set bits instead of scanning
-    // a window full of Waiting entries; commit shifts the map right by
-    // one (a couple of word ops for a 128-entry window).
-    ready_bits: Vec<u64>,
-    // Retired consumer lists, kept (empty, capacity intact) for reuse
-    // by later dispatches so wakeup-list growth never re-allocates in
-    // steady state.
-    consumer_pool: Vec<Vec<Seq>>,
+    // In-flight stores' sequence numbers and addresses, oldest first.
+    // Entries only leave the window through in-order commit, so this
+    // stays sorted, which makes `has_older_store` O(1) and
+    // `older_store_to_block` a scan over stores only instead of the
+    // whole window.
+    stores: VecDeque<(Seq, Addr)>,
+    // Bit s set ⇔ the entry in slot s is Ready.
+    ready_bits: Box<[u64]>,
+    // `words` words per slot: bit c of a producer's row set ⇔ the
+    // entry in slot c waits on it. `wake_twice` marks the consumers
+    // that read the producer through both sources, so a wakeup still
+    // counts (and discharges) one dependence per source.
+    wake: Box<[u64]>,
+    wake_twice: Box<[u64]>,
+    words: usize,
 }
+
+/// `Ruu::reg_producer` value: no in-flight producer.
+const NO_PRODUCER: Seq = Seq::MAX;
+/// `Ruu::reg_producer` row looked up for an absent source register.
+const NO_SRC: usize = ArchReg::COUNT;
+/// `Ruu::reg_producer` row written for an absent destination register.
+const NO_DST: usize = ArchReg::COUNT + 1;
 
 impl Ruu {
     /// Creates an empty window of `capacity` entries with an LSQ of
@@ -103,50 +118,64 @@ impl Ruu {
     pub fn new(capacity: usize, lsq_capacity: usize) -> Self {
         assert!(capacity > 0, "RUU capacity must be nonzero");
         assert!(lsq_capacity > 0, "LSQ capacity must be nonzero");
+        let ring = capacity.next_power_of_two();
+        let words = ring.div_ceil(64);
+        let vacant = RuuEntry {
+            seq: 0,
+            inst: Inst::nop(Pc(0)),
+            issued_at: None,
+            state: EntryState::Completed,
+            deps_outstanding: 0,
+            mispredicted: false,
+        };
         Ruu {
-            entries: VecDeque::with_capacity(capacity),
+            slots: vec![vacant; ring].into_boxed_slice(),
+            mask: ring as u64 - 1,
             head_seq: 0,
             next_seq: 0,
             capacity,
             lsq_capacity,
             lsq_occupancy: 0,
-            reg_producer: [None; ArchReg::COUNT],
+            reg_producer: [NO_PRODUCER; ArchReg::COUNT + 2],
             peak_occupancy: 0,
             ready_count: 0,
-            store_seqs: VecDeque::new(),
-            ready_bits: vec![0; capacity.div_ceil(64)],
-            consumer_pool: Vec::new(),
+            stores: VecDeque::new(),
+            ready_bits: vec![0; words].into_boxed_slice(),
+            wake: vec![0; ring * words].into_boxed_slice(),
+            wake_twice: vec![0; ring * words].into_boxed_slice(),
+            words,
         }
     }
 
-    /// Sets the ready bit for in-window `seq`.
-    fn set_ready_bit(&mut self, seq: Seq) {
-        let i = (seq - self.head_seq) as usize;
-        self.ready_bits[i / 64] |= 1 << (i % 64);
+    /// The ring slot of in-window `seq`, or `None` outside the window.
+    fn slot(&self, seq: Seq) -> Option<usize> {
+        (seq >= self.head_seq && seq < self.next_seq).then_some((seq & self.mask) as usize)
     }
 
-    /// Clears the ready bit for in-window `seq`.
-    fn clear_ready_bit(&mut self, seq: Seq) {
-        let i = (seq - self.head_seq) as usize;
-        self.ready_bits[i / 64] &= !(1 << (i % 64));
+    fn set_ready_bit(&mut self, slot: usize) {
+        self.ready_bits[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn clear_ready_bit(&mut self, slot: usize) {
+        self.ready_bits[slot / 64] &= !(1 << (slot % 64));
     }
 
     /// Whether the window has no free entry.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.occupancy() >= self.capacity
     }
 
     /// Whether the window is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.next_seq == self.head_seq
     }
 
     /// Live entries.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.entries.len()
+        (self.next_seq - self.head_seq) as usize
     }
 
     /// Live memory (LSQ) entries.
@@ -182,77 +211,77 @@ impl Ruu {
     /// [`Ruu::can_dispatch`] first.
     pub fn dispatch(&mut self, inst: Inst, mispredicted: bool) -> Seq {
         assert!(!self.is_full(), "RUU full");
-        assert!(!self.lsq_blocks(inst.op()), "LSQ full");
+        let op = inst.op();
+        assert!(!self.lsq_blocks(op), "LSQ full");
         let seq = self.next_seq;
-        self.next_seq += 1;
-        if inst.op().is_mem() {
-            self.lsq_occupancy += 1;
+        let slot = (seq & self.mask) as usize;
+        self.lsq_occupancy += usize::from(op.is_mem());
+        if op == OpClass::Store {
+            let addr = inst.mem_addr().expect("store has an address");
+            self.stores.push_back((seq, addr));
         }
-        if inst.op() == OpClass::Store {
-            self.store_seqs.push_back(seq);
-        }
+        debug_assert!(
+            self.wake[slot * self.words..(slot + 1) * self.words]
+                .iter()
+                .all(|&w| w == 0),
+            "a reused slot starts with no consumers"
+        );
 
-        let mut deps = 0u8;
-        let mut dep_seqs: [Option<Seq>; 2] = [None; 2];
-        for (slot, src) in dep_seqs.iter_mut().zip(inst.srcs().iter()) {
-            if let Some(reg) = src {
-                if let Some(prod) = self.reg_producer[reg.index()] {
-                    // Only a still-live, incomplete producer creates a
-                    // dependence (completed values forward from the
-                    // regfile/bypass).
-                    if self
-                        .entry(prod)
-                        .is_some_and(|e| e.state != EntryState::Completed)
-                    {
-                        *slot = Some(prod);
-                        deps += 1;
-                    }
-                }
-            }
+        // Rename against the producers as they stand before this
+        // instruction's own destination is recorded, so a
+        // self-dependence like `r1 <- f(r1)` waits on the previous
+        // writer.
+        let (word, shift) = (slot / 64, slot % 64);
+        let [src0, src1] = inst.srcs();
+        let (p0, dep0) = self.producer(src0);
+        let (p1, dep1) = self.producer(src1);
+        self.wake[p0 * self.words + word] |= u64::from(dep0) << shift;
+        self.wake[p1 * self.words + word] |= u64::from(dep1) << shift;
+        if dep1 && p0 == p1 && dep0 {
+            // Both sources read one producer: the consumer is marked
+            // twice.
+            self.wake_twice[p1 * self.words + word] |= 1 << shift;
         }
+        let deps = u8::from(dep0) + u8::from(dep1);
 
-        let state = if deps == 0 {
-            self.ready_count += 1;
-            self.set_ready_bit(seq);
-            EntryState::Ready
-        } else {
-            EntryState::Waiting
-        };
-        self.entries.push_back(RuuEntry {
+        let ready = deps == 0;
+        self.ready_count += usize::from(ready);
+        self.ready_bits[word] |= u64::from(ready) << shift;
+        self.slots[slot] = RuuEntry {
             seq,
             inst,
-            state,
-            deps_outstanding: deps,
-            consumers: self.consumer_pool.pop().unwrap_or_default(),
-            mispredicted,
             issued_at: None,
-        });
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
-
-        // Register in producers' consumer lists (after push so a
-        // self-dependence like `r1 <- [r1]` is handled by the lookup
-        // above using the *previous* producer).
-        for prod in dep_seqs.into_iter().flatten() {
-            if let Some(e) = self.entry_mut(prod) {
-                e.consumers.push(seq);
-            }
-        }
-        if let Some(dst) = inst.dst() {
-            self.reg_producer[dst.index()] = Some(seq);
-        }
+            state: if ready {
+                EntryState::Ready
+            } else {
+                EntryState::Waiting
+            },
+            deps_outstanding: deps,
+            mispredicted,
+        };
+        self.next_seq += 1;
+        self.peak_occupancy = self.peak_occupancy.max(self.occupancy());
+        self.reg_producer[inst.dst().map_or(NO_DST, ArchReg::index)] = seq;
         seq
+    }
+
+    /// The slot of `src`'s in-flight producer and whether it is a
+    /// dependence. Only an in-flight, incomplete producer creates one
+    /// (completed values forward from the regfile/bypass). An absent
+    /// source reads `NO_PRODUCER`, so both sources are looked up the
+    /// same way and the data, not a branch, decides the outcome.
+    fn producer(&self, src: Option<ArchReg>) -> (usize, bool) {
+        let prod = self.reg_producer[src.map_or(NO_SRC, ArchReg::index)];
+        let p = (prod & self.mask) as usize;
+        debug_assert!(prod == NO_PRODUCER || self.slot(prod).is_some());
+        let dep = (prod != NO_PRODUCER) & (self.slots[p].state != EntryState::Completed);
+        (p, dep)
     }
 
     /// Shared access to entry `seq`, if still in the window.
     #[must_use]
     pub fn entry(&self, seq: Seq) -> Option<&RuuEntry> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        self.entries.get(idx)
-    }
-
-    fn entry_mut(&mut self, seq: Seq) -> Option<&mut RuuEntry> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        self.entries.get_mut(idx)
+        self.slot(seq).map(|s| &self.slots[s])
     }
 
     /// Whether any entry is issue-eligible. O(1).
@@ -261,75 +290,101 @@ impl Ruu {
         self.ready_count > 0
     }
 
+    /// The oldest issue-eligible entry at or after `from` in program
+    /// order. Walks the ready bitmap a word at a time, starting at
+    /// `from`'s slot and wrapping round the ring, so the issue stage
+    /// visits only the entries it considers and stops when it is done.
+    #[must_use]
+    pub fn next_ready(&self, from: Seq) -> Option<Seq> {
+        let from = from.max(self.head_seq);
+        if self.ready_count == 0 || from >= self.next_seq {
+            return None;
+        }
+        let ring = self.slots.len();
+        let mut slot = (from & self.mask) as usize;
+        let mut scanned = 0usize;
+        let mut remaining = (self.next_seq - from) as usize;
+        while remaining > 0 {
+            let shift = slot % 64;
+            let span = (64 - shift).min(remaining).min(ring - slot);
+            let window = if span == 64 {
+                u64::MAX
+            } else {
+                (1u64 << span) - 1
+            };
+            let bits = (self.ready_bits[slot / 64] >> shift) & window;
+            if bits != 0 {
+                let seq = from + (scanned + bits.trailing_zeros() as usize) as Seq;
+                debug_assert_eq!(self.entry(seq).map(|e| e.state), Some(EntryState::Ready));
+                return Some(seq);
+            }
+            scanned += span;
+            remaining -= span;
+            slot = (slot + span) & self.mask as usize;
+        }
+        None
+    }
+
     /// Sequence numbers of up to `max` issue-eligible entries, oldest
     /// first.
     #[must_use]
     pub fn ready_seqs(&self, max: usize) -> Vec<Seq> {
         let mut out = Vec::new();
-        self.ready_seqs_into(max, &mut out);
+        let mut cursor = self.head_seq;
+        while out.len() < max {
+            let Some(seq) = self.next_ready(cursor) else {
+                break;
+            };
+            out.push(seq);
+            cursor = seq + 1;
+        }
         out
-    }
-
-    /// Fills `out` (cleared first) with up to `max` issue-eligible
-    /// sequence numbers, oldest first. Reusing the same scratch `Vec`
-    /// keeps the issue stage allocation-free; the maintained ready
-    /// count lets the scan stop as soon as all ready entries are found
-    /// (or never start when there are none).
-    pub fn ready_seqs_into(&self, max: usize, out: &mut Vec<Seq>) {
-        out.clear();
-        if self.ready_count == 0 {
-            return;
-        }
-        let want = max.min(self.ready_count);
-        'words: for (w, &word) in self.ready_bits.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                debug_assert_eq!(
-                    self.entries.get(i).map(|e| e.state),
-                    Some(EntryState::Ready),
-                    "ready bitmap out of sync at index {i}"
-                );
-                out.push(self.head_seq + i as Seq);
-                if out.len() == want {
-                    break 'words;
-                }
-            }
-        }
     }
 
     /// Transitions `seq` to [`EntryState::Issued`].
     pub fn mark_issued(&mut self, seq: Seq, cycle: u64) {
-        if let Some(e) = self.entry_mut(seq) {
+        if let Some(slot) = self.slot(seq) {
+            let e = &mut self.slots[slot];
             debug_assert_eq!(e.state, EntryState::Ready);
             e.state = EntryState::Issued;
             e.issued_at = Some(cycle);
             self.ready_count -= 1;
-            self.clear_ready_bit(seq);
+            self.clear_ready_bit(slot);
         }
     }
 
     /// Completes `seq`, waking consumers. Returns the number of
-    /// consumers woken (for wakeup-port activity accounting).
+    /// wakeups delivered (for wakeup-port activity accounting): one
+    /// per consumer source operand the result feeds.
     pub fn complete(&mut self, seq: Seq) -> u32 {
-        let (was_ready, consumers) = match self.entry_mut(seq) {
-            Some(e) => {
-                let was_ready = e.state == EntryState::Ready;
-                e.state = EntryState::Completed;
-                (was_ready, std::mem::take(&mut e.consumers))
-            }
-            None => return 0,
+        let Some(slot) = self.slot(seq) else {
+            return 0;
         };
+        let e = &mut self.slots[slot];
+        let was_ready = e.state == EntryState::Ready;
+        e.state = EntryState::Completed;
         if was_ready {
             // Defensive: completion of a never-issued entry.
             self.ready_count -= 1;
-            self.clear_ready_bit(seq);
+            self.clear_ready_bit(slot);
         }
-        let woken = consumers.len() as u32;
-        for &c in &consumers {
-            if let Some(e) = self.entry_mut(c) {
-                e.deps_outstanding = e.deps_outstanding.saturating_sub(1);
+        let mut woken = 0;
+        let base = slot * self.words;
+        for w in 0..self.words {
+            let mut bits = std::mem::take(&mut self.wake[base + w]);
+            if bits == 0 {
+                continue;
+            }
+            // (A consumer is only ever marked twice if marked once.)
+            let twice = std::mem::take(&mut self.wake_twice[base + w]);
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let c = w * 64 + b as usize;
+                let e = &mut self.slots[c];
+                let n = 1 + ((twice >> b) & 1) as u8;
+                woken += u32::from(n);
+                e.deps_outstanding = e.deps_outstanding.saturating_sub(n);
                 if e.deps_outstanding == 0 && e.state == EntryState::Waiting {
                     e.state = EntryState::Ready;
                     self.ready_count += 1;
@@ -337,47 +392,37 @@ impl Ruu {
                 }
             }
         }
-        let mut consumers = consumers;
-        consumers.clear();
-        self.consumer_pool.push(consumers);
         woken
     }
 
     /// The head entry, if it is completed and thus committable.
     #[must_use]
     pub fn commit_ready(&self) -> Option<&RuuEntry> {
-        self.entries
-            .front()
+        self.entry(self.head_seq)
             .filter(|e| e.state == EntryState::Completed)
     }
 
-    /// Removes and returns the head entry (which must be completed).
+    /// Retires the head entry (which must be completed) and returns a
+    /// copy of it. The slot keeps its contents until a later dispatch
+    /// reuses it.
     ///
     /// # Panics
     ///
     /// Panics if the head is missing or not completed.
     pub fn pop_commit(&mut self) -> RuuEntry {
-        let e = self.entries.pop_front().expect("commit from empty RUU");
+        let e = *self.entry(self.head_seq).expect("commit from empty RUU");
         assert_eq!(e.state, EntryState::Completed, "commit of incomplete entry");
-        self.head_seq = e.seq + 1;
-        // Window indices all drop by one: shift the ready map down.
-        // (The head's own bit is already clear — it was Completed.)
-        for w in 0..self.ready_bits.len() {
-            let carry = self.ready_bits.get(w + 1).map_or(0, |&next| next << 63);
-            self.ready_bits[w] = (self.ready_bits[w] >> 1) | carry;
-        }
-        if e.inst.op().is_mem() {
-            self.lsq_occupancy -= 1;
-        }
-        if e.inst.op() == OpClass::Store {
-            let front = self.store_seqs.pop_front();
-            debug_assert_eq!(front, Some(e.seq), "stores commit in order");
+        self.head_seq += 1;
+        let op = e.inst.op();
+        self.lsq_occupancy -= usize::from(op.is_mem());
+        if op == OpClass::Store {
+            let front = self.stores.pop_front();
+            debug_assert_eq!(front.map(|(s, _)| s), Some(e.seq), "stores commit in order");
         }
         // The architectural value now lives in the regfile.
-        if let Some(dst) = e.inst.dst() {
-            if self.reg_producer[dst.index()] == Some(e.seq) {
-                self.reg_producer[dst.index()] = None;
-            }
+        let dst = &mut self.reg_producer[e.inst.dst().map_or(NO_DST, ArchReg::index)];
+        if *dst == e.seq {
+            *dst = NO_PRODUCER;
         }
         e
     }
@@ -388,7 +433,7 @@ impl Ruu {
     /// store is the front of the maintained store list.
     #[must_use]
     pub fn has_older_store(&self, seq: Seq) -> bool {
-        self.store_seqs.front().is_some_and(|&s| s < seq)
+        self.stores.front().is_some_and(|&(s, _)| s < seq)
     }
 
     /// Whether an older, still-in-flight store writes the same block
@@ -397,11 +442,10 @@ impl Ruu {
     #[must_use]
     pub fn older_store_to_block(&self, seq: Seq, addr: Addr, block_bytes: u64) -> bool {
         let block = addr.block(block_bytes);
-        self.store_seqs.iter().take_while(|&&s| s < seq).any(|&s| {
-            self.entry(s)
-                .and_then(|e| e.inst.mem_addr())
-                .is_some_and(|a| a.block(block_bytes) == block)
-        })
+        self.stores
+            .iter()
+            .take_while(|&&(s, _)| s < seq)
+            .any(|&(_, a)| a.block(block_bytes) == block)
     }
 }
 

@@ -393,9 +393,12 @@ impl VsvController {
     /// without implementing any trace hook. Called after each policy
     /// invocation while tracing at [`TraceLevel::Events`] or above.
     fn sync_policy_trace(&mut self, at: u64) {
-        if self.trace_level < Some(TraceLevel::Events) {
-            return;
+        if self.trace_level >= Some(TraceLevel::Events) {
+            self.emit_policy_trace(at);
         }
+    }
+
+    fn emit_policy_trace(&mut self, at: u64) {
         let armed = self.policy.armed();
         if armed.0 && !self.traced_armed.0 {
             self.events.push(TraceEvent::FsmArmed {

@@ -163,6 +163,7 @@ pub struct JobRecord {
 
 /// Serde default for [`JobRecord::cores`]: pre-multicore checkpoints
 /// (v6 and earlier) were all single-core.
+#[cfg(feature = "serde")]
 fn default_cores() -> usize {
     1
 }

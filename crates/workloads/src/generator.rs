@@ -18,26 +18,8 @@ const HOT_BASE: u64 = 0x0800_0000;
 const FAR_BASE: u64 = 0x1000_0000;
 /// Block granularity of far accesses (the L1 block size).
 const FAR_STRIDE: u64 = 32;
-
-/// A planned instruction, before a PC is assigned at emission.
-#[derive(Debug, Clone, Copy)]
-enum Planned {
-    Compute {
-        op: OpClass,
-        dst: ArchReg,
-        src: ArchReg,
-        extra: Option<ArchReg>,
-    },
-    Load {
-        dst: ArchReg,
-        addr: Addr,
-        base: Option<ArchReg>,
-    },
-    Store {
-        addr: Addr,
-        data: ArchReg,
-    },
-}
+/// The PC a planned instruction carries until it is emitted.
+const UNPLACED: Pc = Pc(0);
 
 /// The deterministic workload twin generator.
 ///
@@ -57,19 +39,40 @@ pub struct Generator {
     p: WorkloadParams,
     rng: XorShift64,
     pc: u64,
-    planned: VecDeque<Planned>,
+    // Planned instructions, oldest first; each takes its PC when it
+    // is emitted.
+    planned: VecDeque<Inst>,
     prefetch_now: VecDeque<Addr>,
     n_far_blocks: u64,
     n_hot_blocks: u64,
     stream_cursor: u64,
     perm_cursor: u64,
-    chain_idx: usize,
+    // The dependence chain the next compute op extends, cycling
+    // through `0..ilp_chains`.
+    chain: usize,
     far_dest_idx: usize,
     last_far_dest: Option<ArchReg>,
     pending_dep: Option<ArchReg>,
     burst_left: usize,
     emitted: u64,
+    // One `SITE_*` flag byte per PC slot of the code footprint, fixed
+    // at construction (the same PC always holds the same kind of
+    // instruction).
+    sites: Vec<u8>,
+    // `mem_fraction / (1 - branch_fraction)`: the memory share of the
+    // planned (non-branch) instructions.
+    mem_share: f64,
+    // `far_fraction / miss_burst`: the chance a load slot starts a
+    // burst of far loads.
+    burst_start: f64,
 }
+
+/// Site flag: a conditional branch lives at this PC slot.
+const SITE_BRANCH: u8 = 1;
+/// Site flag: the branch here goes either way at random.
+const SITE_RANDOM: u8 = 2;
+/// Site flag: the fixed direction of a non-random branch is taken.
+const SITE_TAKEN: u8 = 4;
 
 impl Generator {
     /// Builds a generator for `params`.
@@ -84,6 +87,9 @@ impl Generator {
         }
         let n_far_blocks = (params.working_set_bytes / FAR_STRIDE).next_power_of_two();
         let n_hot_blocks = (params.hot_set_bytes / FAR_STRIDE).max(1);
+        let sites = (0..params.code_footprint_bytes / Pc::STEP)
+            .map(|slot| site_flags(&params, slot * Pc::STEP))
+            .collect();
         let mut g = Generator {
             rng: XorShift64::new(params.seed ^ 0xA5A5_5A5A),
             pc: 0,
@@ -93,12 +99,15 @@ impl Generator {
             n_hot_blocks,
             stream_cursor: 0,
             perm_cursor: 1,
-            chain_idx: 0,
+            chain: 0,
             far_dest_idx: 0,
             last_far_dest: None,
             pending_dep: None,
             burst_left: 0,
             emitted: 0,
+            sites,
+            mem_share: params.mem_fraction / (1.0 - params.branch_fraction),
+            burst_start: params.far_fraction / params.miss_burst as f64,
             p: params,
         };
         // Prime the plan queue so software prefetches always lead
@@ -130,24 +139,17 @@ impl Generator {
         // Branches are emitted at fixed PC *sites* (see `next_inst`),
         // so the planner only mixes memory and compute ops; the memory
         // fraction is renormalised to keep the overall mix on target.
-        let mem_share = self.p.mem_fraction / (1.0 - self.p.branch_fraction);
         let r = self.rng.unit();
-        let planned = if r < mem_share {
+        let planned = if r < self.mem_share {
             if self.rng.chance(self.p.store_ratio) {
-                Planned::Store {
-                    addr: self.hot_addr(),
-                    data: self.chain_reg_int(self.chain_idx % self.p.ilp_chains),
-                }
+                let addr = self.hot_addr();
+                Inst::store(UNPLACED, addr, self.chain_reg_int(self.chain))
             } else if self.take_burst_slot() {
                 self.plan_far_load()
             } else {
                 // Hot load: L1-resident, feeds nothing critical.
                 let dst = self.next_far_dest();
-                Planned::Load {
-                    dst,
-                    addr: self.hot_addr(),
-                    base: None,
-                }
+                Inst::load(UNPLACED, dst, self.hot_addr())
             }
         } else {
             self.plan_compute()
@@ -163,8 +165,7 @@ impl Generator {
             self.burst_left -= 1;
             return true;
         }
-        let start_p = self.p.far_fraction / self.p.miss_burst as f64;
-        if self.rng.chance(start_p) {
+        if self.rng.chance(self.burst_start) {
             self.burst_left = self.p.miss_burst - 1;
             true
         } else {
@@ -172,7 +173,7 @@ impl Generator {
         }
     }
 
-    fn plan_far_load(&mut self) -> Planned {
+    fn plan_far_load(&mut self) -> Inst {
         let addr = self.far_addr();
         let dst = self.next_far_dest();
         let base = if self.rng.chance(self.p.chase_dependency) {
@@ -189,30 +190,29 @@ impl Generator {
             // queue drains (≈ sw_prefetch_distance instructions later).
             self.prefetch_now.push_back(addr);
         }
-        Planned::Load { dst, addr, base }
+        match base {
+            Some(b) => Inst::load_dep(UNPLACED, dst, b, addr),
+            None => Inst::load(UNPLACED, dst, addr),
+        }
     }
 
-    fn plan_compute(&mut self) -> Planned {
-        let c = self.chain_idx % self.p.ilp_chains;
-        self.chain_idx += 1;
+    fn plan_compute(&mut self) -> Inst {
+        const OPS: [OpClass; 4] = [
+            OpClass::IntAlu,
+            OpClass::IntMulDiv,
+            OpClass::FpAlu,
+            OpClass::FpMulDiv,
+        ];
+        let c = self.chain;
+        self.chain = if c + 1 == self.p.ilp_chains { 0 } else { c + 1 };
         let fp = self.rng.chance(self.p.fp_fraction);
         let muldiv = self.rng.chance(self.p.muldiv_fraction);
-        let op = match (fp, muldiv) {
-            (false, false) => OpClass::IntAlu,
-            (false, true) => OpClass::IntMulDiv,
-            (true, false) => OpClass::FpAlu,
-            (true, true) => OpClass::FpMulDiv,
-        };
-        let reg = if fp {
-            self.chain_reg_fp(c)
-        } else {
-            self.chain_reg_int(c)
-        };
-        Planned::Compute {
-            op,
-            dst: reg,
-            src: reg,
-            extra: self.pending_dep.take(),
+        let op = OPS[usize::from(fp) * 2 + usize::from(muldiv)];
+        // Chain c lives in r(1+c), or f(1+c) for FP ops.
+        let reg = ArchReg::from_index(usize::from(fp) * usize::from(ArchReg::NUM_INT) + 1 + c);
+        match self.pending_dep.take() {
+            Some(extra) => Inst::compute(UNPLACED, op, reg, &[reg, extra]),
+            None => Inst::compute(UNPLACED, op, reg, &[reg]),
         }
     }
 
@@ -220,10 +220,6 @@ impl Generator {
 
     fn chain_reg_int(&self, c: usize) -> ArchReg {
         ArchReg::int(1 + c as u8)
-    }
-
-    fn chain_reg_fp(&self, c: usize) -> ArchReg {
-        ArchReg::fp(1 + c as u8)
     }
 
     fn next_far_dest(&mut self) -> ArchReg {
@@ -266,32 +262,9 @@ impl Generator {
 
     // ---- emission ---------------------------------------------------
 
-    fn emit(&mut self, planned: Planned) -> Inst {
-        let pc = Pc(self.pc);
-        let inst = match planned {
-            Planned::Compute {
-                op,
-                dst,
-                src,
-                extra,
-            } => {
-                let srcs = [src, extra.unwrap_or(src)];
-                let n = 1 + usize::from(extra.is_some());
-                self.pc += Pc::STEP;
-                Inst::compute(pc, op, dst, &srcs[..n])
-            }
-            Planned::Load { dst, addr, base } => {
-                self.pc += Pc::STEP;
-                match base {
-                    Some(b) => Inst::load_dep(pc, dst, b, addr),
-                    None => Inst::load(pc, dst, addr),
-                }
-            }
-            Planned::Store { addr, data } => {
-                self.pc += Pc::STEP;
-                Inst::store(pc, addr, data)
-            }
-        };
+    fn emit(&mut self, planned: Inst) -> Inst {
+        let inst = planned.at(Pc(self.pc));
+        self.pc += Pc::STEP;
         self.emitted += 1;
         inst
     }
@@ -300,25 +273,14 @@ impl Generator {
         pc % self.p.code_footprint_bytes
     }
 
-    /// Whether the slot at `pc` is a branch site. Branch sites are a
-    /// fixed, hash-selected subset of PC slots — like branches in real
-    /// code, the same PC always holds the same kind of instruction, so
-    /// the bimodal/BTB tables can learn them.
-    fn is_branch_site(&self, pc: u64) -> bool {
-        (pc_hash(pc) % 10_000) as f64 / 10_000.0 < self.p.branch_fraction
-    }
-
-    /// Emits the conditional branch at site `pc`. A hash-selected
-    /// `branch_entropy` fraction of sites is random-direction; the
-    /// rest keep a fixed per-site bias.
-    fn emit_branch_site(&mut self) -> Inst {
+    /// Emits the conditional branch at the site at `pc`, whose flags
+    /// are `site`.
+    fn emit_branch_site(&mut self, site: u8) -> Inst {
         let pc = Pc(self.pc);
-        let h = pc_hash(self.pc ^ 0x0B12_A4C3); // independent of site selection
-        let random_site = (h % 1000) as f64 / 1000.0 < self.p.branch_entropy;
-        let taken = if random_site {
+        let taken = if site & SITE_RANDOM != 0 {
             self.rng.chance(0.5)
         } else {
-            (h >> 10) & 1 == 1
+            site & SITE_TAKEN != 0
         };
         let target = Pc(self.wrap_pc(self.pc + 8));
         self.pc = if taken { target.0 } else { self.pc + Pc::STEP };
@@ -352,14 +314,16 @@ impl Generator {
 }
 
 impl InstStream for Generator {
+    #[inline]
     fn next_inst(&mut self) -> Option<Inst> {
         // Loop-closing jump takes priority at the footprint boundary.
         if self.pc + Pc::STEP >= self.p.code_footprint_bytes {
             return Some(self.emit_loop_jump());
         }
         // Fixed branch sites pre-empt the plan queue.
-        if self.is_branch_site(self.pc) {
-            return Some(self.emit_branch_site());
+        let site = self.sites[(self.pc / Pc::STEP) as usize];
+        if site & SITE_BRANCH != 0 {
+            return Some(self.emit_branch_site(site));
         }
         if let Some(addr) = self.prefetch_now.pop_front() {
             let pc = Pc(self.pc);
@@ -373,6 +337,27 @@ impl InstStream for Generator {
         let planned = self.planned.pop_front().expect("planned queue nonempty");
         Some(self.emit(planned))
     }
+}
+
+/// The site flags of the PC slot at `pc`. Branch sites are a fixed,
+/// hash-selected subset of PC slots — like branches in real code, the
+/// same PC always holds the same kind of instruction, so the
+/// bimodal/BTB tables can learn them. A second, independent hash picks
+/// the `branch_entropy` fraction of sites that are random-direction and
+/// the fixed bias of the rest.
+fn site_flags(p: &WorkloadParams, pc: u64) -> u8 {
+    let mut flags = 0;
+    if (pc_hash(pc) % 10_000) as f64 / 10_000.0 < p.branch_fraction {
+        flags |= SITE_BRANCH;
+    }
+    let h = pc_hash(pc ^ 0x0B12_A4C3);
+    if (h % 1000) as f64 / 1000.0 < p.branch_entropy {
+        flags |= SITE_RANDOM;
+    }
+    if (h >> 10) & 1 == 1 {
+        flags |= SITE_TAKEN;
+    }
+    flags
 }
 
 fn pc_hash(pc: u64) -> u64 {

@@ -40,7 +40,7 @@ mod spec2k;
 
 pub use generator::Generator;
 pub use mix::MixSummary;
-pub use params::{AccessPattern, WorkloadParams};
+pub use params::{AccessPattern, WorkloadParams, MAX_CODE_FOOTPRINT_BYTES};
 pub use rng::XorShift64;
 pub use service::{TrafficEvent, TrafficEventKind, TrafficModel, TrafficSpec, TrafficStream};
 pub use spec2k::{high_mr_names, spec2k_twins, table2_reference, twin, Table2Row};

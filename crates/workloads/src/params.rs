@@ -1,5 +1,9 @@
 //! Workload-twin parameter space.
 
+/// The largest accepted [`WorkloadParams::code_footprint_bytes`]. The
+/// SPEC2K twins' footprints are tens of KB.
+pub const MAX_CODE_FOOTPRINT_BYTES: u64 = 4 << 20;
+
 /// How a twin's far (working-set) loads choose their addresses.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,6 +171,15 @@ impl WorkloadParams {
         if self.code_footprint_bytes < 256 {
             return Err("code footprint too small".into());
         }
+        // The generator keeps one flag byte per 4-byte instruction slot.
+        if self.code_footprint_bytes > MAX_CODE_FOOTPRINT_BYTES
+            || !self.code_footprint_bytes.is_multiple_of(4)
+        {
+            return Err(format!(
+                "code footprint must be a multiple of 4 bytes and at most {} MiB",
+                MAX_CODE_FOOTPRINT_BYTES >> 20
+            ));
+        }
         if self.sw_prefetch_distance == 0 || self.sw_prefetch_distance > 4096 {
             return Err("sw_prefetch_distance must be in 1..=4096".into());
         }
@@ -210,6 +223,17 @@ mod tests {
         p.pattern = AccessPattern::Strided { blocks: 0 };
         assert!(p.validate().is_err());
         p.pattern = AccessPattern::Strided { blocks: 4 };
+        assert!(p.validate().is_ok());
+    }
+
+    #[test]
+    fn rejects_unaligned_or_huge_code_footprint() {
+        let mut p = WorkloadParams::compute_bound("bad");
+        p.code_footprint_bytes = 8 * 1024 + 2;
+        assert!(p.validate().is_err());
+        p.code_footprint_bytes = MAX_CODE_FOOTPRINT_BYTES + 4;
+        assert!(p.validate().is_err());
+        p.code_footprint_bytes = MAX_CODE_FOOTPRINT_BYTES;
         assert!(p.validate().is_ok());
     }
 

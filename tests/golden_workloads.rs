@@ -67,6 +67,48 @@ fn print_digests() {
     }
 }
 
+/// Long-stream digests. Five thousand instructions visit fewer PC
+/// slots than a 32 KB or 48 KB code footprint holds (12,288 slots at
+/// 48 KB), so the short table above leaves most branch sites unpinned;
+/// 200,000 instructions sweep every slot of these footprints many times
+/// over. Regenerate (only for an intended generator change) with
+/// `cargo test --release -p vsv-repro --test golden_workloads -- --nocapture print_long_digests --ignored`.
+#[test]
+fn pinned_long_twin_digests() {
+    for (name, expected) in long_pinned_table() {
+        let got = stream_digest(name, LONG_STREAM);
+        assert_eq!(
+            got, expected,
+            "{name}'s long instruction stream changed — recalibrate or revert \
+             (new digest: {got:#018x})"
+        );
+    }
+}
+
+#[test]
+#[ignore = "helper: prints the digest table for updating long_pinned_table()"]
+fn print_long_digests() {
+    for (name, _) in long_pinned_table() {
+        println!("(\"{name}\", {:#018x}),", stream_digest(name, LONG_STREAM));
+    }
+}
+
+/// Instructions per long-stream digest.
+const LONG_STREAM: usize = 200_000;
+
+/// crafty, gcc and vortex have 48 KB code footprints, eon and mesa
+/// 32 KB; mcf is the memory-bound reference.
+fn long_pinned_table() -> Vec<(&'static str, u64)> {
+    vec![
+        ("crafty", 0x0dc89418ab3d9b9f),
+        ("gcc", 0xb6eaacbcbd826605),
+        ("vortex", 0x070d620036106ad0),
+        ("eon", 0x3009f04ce34c7448),
+        ("mesa", 0x415c96564837d6d2),
+        ("mcf", 0x819f1cf2c1004c37),
+    ]
+}
+
 #[allow(clippy::vec_init_then_push)]
 fn pinned_table() -> Vec<(&'static str, u64)> {
     vec![

@@ -203,3 +203,118 @@ fn arbitrary_descending_ladders_validate_and_stay_in_range() {
         }
     }
 }
+
+/// The accountant's per-cycle and per-nanosecond integration against
+/// a straight-line copy of the model's formulas: for every structure,
+/// `(accesses × access energy + clock energy) × scale`, with the clock
+/// term chosen by the gating model and the scale by the structure's
+/// supply domain; level-converter energy on the fixed-RAM accesses
+/// below VDDH; and `(variable × (V/VDDH)³ + fixed) × 1000` pJ of
+/// leakage per ns. Runs at VDDH, VDDL, the rails of a 4-deep ladder
+/// and mid-ramp voltages, in a random order so the accountant's
+/// per-voltage state is rebuilt often, under both gating models with
+/// gating on and off. Every accumulator must match bit for bit.
+#[test]
+fn record_cycle_matches_reference_formula() {
+    use vsv_power::{
+        ActivitySample, DcgModel, PowerAccountant, PowerConfig, StructureId, VddDomain,
+    };
+
+    let t = TechParams::baseline();
+    let ladder = VoltageLadder::uniform(&t, 4);
+    let mut voltages = vec![t.vddh, t.vddl];
+    voltages.extend((0..ladder.depth()).map(|i| ladder.voltage(i)));
+    for w in 0..ladder.depth() - 1 {
+        let (hi, lo) = (ladder.voltage(w), ladder.voltage(w + 1));
+        for f in [0.125, 0.5, 0.875] {
+            voltages.push(t.ramp_voltage(hi, lo, f));
+        }
+    }
+    voltages.push((t.vddh + t.ramp_voltage(t.vddh, t.vddl, 1.0 / 12.0)) / 2.0);
+
+    for model in [DcgModel::PerStructure, DcgModel::PerUnit] {
+        for dcg in [true, false] {
+            let mut cfg = PowerConfig::baseline().with_leakage(0.75);
+            cfg.dcg_model = model;
+            cfg.dcg_enabled = dcg;
+            let mut acc = PowerAccountant::new(cfg);
+            let mut per_structure = [0.0f64; StructureId::ALL.len()];
+            let mut level_converter = 0.0f64;
+            let mut leakage = 0.0f64;
+            let mut rng = Rng::new(SEED ^ u64::from(dcg) ^ ((model as u64) << 1));
+            for i in 0..20_000 {
+                let vdd = voltages[(rng.next_u64() % voltages.len() as u64) as usize];
+                let mut sample: ActivitySample = Default::default();
+                for s in &mut sample {
+                    // Mostly idle structures, some busy past their unit count.
+                    let draw = rng.next_u64() % 16;
+                    *s = if draw < 9 {
+                        0
+                    } else {
+                        (draw - 8) as u32 * 2 - 1
+                    };
+                }
+                acc.record_cycle(&sample, vdd);
+                acc.record_leakage_ns(vdd);
+
+                let scale_var = t.energy_scale(vdd);
+                for (k, p) in cfg.catalog.iter().enumerate() {
+                    let accesses = f64::from(sample[k]);
+                    let access_e = accesses * p.access_energy_pj;
+                    let gated_residue = p.clock_energy_pj * (1.0 - cfg.dcg_efficiency);
+                    let clock_e = if !(cfg.dcg_enabled && p.gateable) {
+                        p.clock_energy_pj
+                    } else {
+                        match cfg.dcg_model {
+                            DcgModel::PerStructure => {
+                                if sample[k] > 0 {
+                                    p.clock_energy_pj
+                                } else {
+                                    gated_residue
+                                }
+                            }
+                            DcgModel::PerUnit => {
+                                let busy = (accesses / f64::from(cfg.units[k].max(1))).min(1.0);
+                                busy * p.clock_energy_pj + (1.0 - busy) * gated_residue
+                            }
+                        }
+                    };
+                    let scale = match p.domain {
+                        VddDomain::Variable => scale_var,
+                        VddDomain::Fixed => 1.0,
+                    };
+                    per_structure[k] += (access_e + clock_e) * scale;
+                }
+                if vdd < t.vddh - 1e-9 {
+                    let ram = u64::from(sample[StructureId::RegFile.index()])
+                        + u64::from(sample[StructureId::IL1.index()])
+                        + u64::from(sample[StructureId::DL1.index()]);
+                    level_converter += ram as f64 * cfg.level_converter_energy_pj;
+                }
+                let ratio = vdd / t.vddh;
+                let var = cfg.leakage_w * cfg.leakage_variable_fraction * ratio.powi(3);
+                let fixed = cfg.leakage_w * (1.0 - cfg.leakage_variable_fraction);
+                leakage += (var + fixed) * 1e3;
+
+                let e = acc.breakdown();
+                for (k, (got, want)) in e.per_structure_pj.iter().zip(&per_structure).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{model:?} dcg {dcg} cycle {i} at {vdd} V: structure {k}"
+                    );
+                }
+                assert_eq!(
+                    e.level_converter_pj.to_bits(),
+                    level_converter.to_bits(),
+                    "{model:?} dcg {dcg} cycle {i} at {vdd} V: level converter"
+                );
+                assert_eq!(
+                    e.leakage_pj.to_bits(),
+                    leakage.to_bits(),
+                    "{model:?} dcg {dcg} cycle {i} at {vdd} V: leakage"
+                );
+            }
+        }
+    }
+}

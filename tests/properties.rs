@@ -13,7 +13,7 @@ use vsv::{Comparison, DownFsm, DownPolicy, ModeStats, RunResult, UpFsm, UpPolicy
 use vsv_isa::{Addr, ArchReg, Inst, Pc};
 use vsv_mem::{Bus, BusConfig, Cache, CacheConfig, EventQueue, MshrFile, MshrOutcome};
 use vsv_power::{ActivitySample, PowerAccountant, PowerConfig};
-use vsv_uarch::Ruu;
+use vsv_uarch::{EntryState, Ruu};
 use vsv_workloads::{Generator, WorkloadParams, XorShift64};
 
 /// Random cases per property. Each case derives its own seed so a
@@ -231,6 +231,205 @@ fn ruu_commits_in_order() {
                 );
                 next_commit += 1;
             }
+        }
+    }
+}
+
+/// A naive reference model of the register update unit: every entry
+/// ever dispatched, scanned linearly, with wakeup lists kept as plain
+/// vectors (a consumer whose two sources share one producer appears
+/// twice, once per source).
+struct RuuModel {
+    states: Vec<EntryState>,
+    deps: Vec<u8>,
+    consumers: Vec<Vec<u64>>,
+    dst: Vec<Option<ArchReg>>,
+    reg_producer: [Option<u64>; ArchReg::COUNT],
+    head: u64,
+}
+
+impl RuuModel {
+    fn new() -> Self {
+        RuuModel {
+            states: Vec::new(),
+            deps: Vec::new(),
+            consumers: Vec::new(),
+            dst: Vec::new(),
+            reg_producer: [None; ArchReg::COUNT],
+            head: 0,
+        }
+    }
+
+    fn live(&self) -> std::ops::Range<u64> {
+        self.head..self.states.len() as u64
+    }
+
+    fn dispatch(&mut self, inst: Inst) -> u64 {
+        let seq = self.states.len() as u64;
+        let mut producers = Vec::new();
+        for reg in inst.srcs().into_iter().flatten() {
+            if let Some(p) = self.reg_producer[reg.index()] {
+                if self.states[p as usize] != EntryState::Completed {
+                    producers.push(p);
+                }
+            }
+        }
+        self.states.push(if producers.is_empty() {
+            EntryState::Ready
+        } else {
+            EntryState::Waiting
+        });
+        self.deps.push(producers.len() as u8);
+        self.consumers.push(Vec::new());
+        self.dst.push(inst.dst());
+        for p in producers {
+            self.consumers[p as usize].push(seq);
+        }
+        if let Some(d) = inst.dst() {
+            self.reg_producer[d.index()] = Some(seq);
+        }
+        seq
+    }
+
+    fn ready(&self, max: usize) -> Vec<u64> {
+        self.live()
+            .filter(|&s| self.states[s as usize] == EntryState::Ready)
+            .take(max)
+            .collect()
+    }
+
+    fn issued(&self) -> Vec<u64> {
+        self.live()
+            .filter(|&s| self.states[s as usize] == EntryState::Issued)
+            .collect()
+    }
+
+    fn complete(&mut self, seq: u64) -> u32 {
+        self.states[seq as usize] = EntryState::Completed;
+        let consumers = std::mem::take(&mut self.consumers[seq as usize]);
+        for &c in &consumers {
+            let c = c as usize;
+            self.deps[c] = self.deps[c].saturating_sub(1);
+            if self.deps[c] == 0 && self.states[c] == EntryState::Waiting {
+                self.states[c] = EntryState::Ready;
+            }
+        }
+        consumers.len() as u32
+    }
+
+    fn commit(&mut self) -> Option<u64> {
+        let seq = self.head;
+        if self.states.get(seq as usize) != Some(&EntryState::Completed) {
+            return None;
+        }
+        self.head += 1;
+        if let Some(d) = self.dst[seq as usize] {
+            if self.reg_producer[d.index()] == Some(seq) {
+                self.reg_producer[d.index()] = None;
+            }
+        }
+        Some(seq)
+    }
+}
+
+/// The window against the naive model on random dependent streams —
+/// including an op whose two sources share one producer and the
+/// self-dependence `r1 <- f(r1)` — with random issue and completion
+/// order, at capacities from 1 to 128 and with enough dispatches that
+/// the window wraps at least ten times. Checks the oldest-first ready
+/// order, the wake counts `complete` returns, every live entry's state
+/// and the commit order.
+#[test]
+fn ruu_matches_naive_wakeup_model() {
+    for capacity in [1usize, 12, 16, 128] {
+        for case in 0..8 {
+            let mut r = rng(
+                "ruu_matches_naive_wakeup_model",
+                case ^ ((capacity as u64) << 8),
+            );
+            let mut ruu = Ruu::new(capacity, capacity);
+            let mut model = RuuModel::new();
+            let target = 10 * capacity as u64 + 40;
+            let mut pc = 0u64;
+            let mut steps = 0u64;
+            while (model.states.len() as u64) < target || model.head < model.states.len() as u64 {
+                steps += 1;
+                assert!(
+                    steps < 200 * target,
+                    "cap {capacity} case {case}: no progress"
+                );
+                let dispatching = (model.states.len() as u64) < target;
+                let choice = r.below(8);
+                if dispatching && choice < 3 {
+                    // Four registers keep producers live and shared.
+                    let reg = |r: &mut XorShift64| ArchReg::int(1 + r.below(4) as u8);
+                    let dst = reg(&mut r);
+                    let inst = match r.below(5) {
+                        0 => Inst::alu(Pc(pc), dst, &[]),
+                        1 => Inst::alu(Pc(pc), dst, &[reg(&mut r)]),
+                        2 => {
+                            let src = reg(&mut r);
+                            Inst::alu(Pc(pc), dst, &[src, src])
+                        }
+                        3 => Inst::alu(Pc(pc), dst, &[dst]),
+                        _ => Inst::alu(Pc(pc), dst, &[reg(&mut r), reg(&mut r)]),
+                    };
+                    pc += 4;
+                    if ruu.can_dispatch(&inst) {
+                        let seq = ruu.dispatch(inst, false);
+                        assert_eq!(seq, model.dispatch(inst), "cap {capacity} case {case}");
+                    }
+                } else if choice < 5 {
+                    let ready = model.ready(capacity);
+                    if !ready.is_empty() {
+                        let seq = ready[r.below(ready.len() as u64) as usize];
+                        ruu.mark_issued(seq, steps);
+                        model.states[seq as usize] = EntryState::Issued;
+                    }
+                } else if choice < 7 {
+                    let issued = model.issued();
+                    if !issued.is_empty() {
+                        let seq = issued[r.below(issued.len() as u64) as usize];
+                        assert_eq!(
+                            ruu.complete(seq),
+                            model.complete(seq),
+                            "cap {capacity} case {case}: wake count of seq {seq}"
+                        );
+                    }
+                } else {
+                    while let Some(seq) = model.commit() {
+                        assert_eq!(
+                            ruu.commit_ready().map(|e| e.seq),
+                            Some(seq),
+                            "cap {capacity} case {case}"
+                        );
+                        assert_eq!(ruu.pop_commit().seq, seq, "cap {capacity} case {case}");
+                    }
+                    assert!(ruu.commit_ready().is_none(), "cap {capacity} case {case}");
+                }
+                assert_eq!(
+                    ruu.ready_seqs(capacity),
+                    model.ready(capacity),
+                    "cap {capacity} case {case}: ready order"
+                );
+                assert_eq!(ruu.any_ready(), !model.ready(1).is_empty());
+                assert_eq!(
+                    ruu.occupancy() as u64,
+                    model.live().end - model.live().start
+                );
+                for seq in model.live() {
+                    assert_eq!(
+                        ruu.entry(seq).map(|e| e.state),
+                        Some(model.states[seq as usize]),
+                        "cap {capacity} case {case}: state of seq {seq}"
+                    );
+                }
+                assert!(ruu.entry(model.live().end).is_none());
+                if model.head > 0 {
+                    assert!(ruu.entry(model.head - 1).is_none());
+                }
+            }
+            assert!(ruu.is_empty(), "cap {capacity} case {case}");
         }
     }
 }
