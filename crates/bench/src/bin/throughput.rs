@@ -142,7 +142,7 @@ fn timed_run(
             .unwrap_or_else(|err| panic!("{err}"))
             .0
         } else {
-            e.run(params, cfg)
+            e.try_run(params, cfg).unwrap_or_else(|err| panic!("{err}"))
         };
         let wall = start.elapsed();
         let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX).max(1);

@@ -183,29 +183,8 @@ pub enum Command {
     },
     /// Run baseline vs. VSV-with-FSMs over many twins in parallel.
     Sweep {
-        /// Twin name; `None` sweeps the whole suite.
-        twin: Option<String>,
-        /// DVS policy for the VSV side of the grid (`None`: the
-        /// default `dual-fsm`).
-        policy: Option<PolicySpec>,
-        /// Voltage-ladder depth for the VSV side (`None`: the paper's
-        /// two rails).
-        ladder: Option<usize>,
-        /// Core count for both sides (`None`: the paper's single
-        /// core).
-        cores: Option<usize>,
-        /// Attach Time-Keeping to both sides.
-        timekeeping: bool,
-        /// Per-read error probability at VDDL (0 disables the model).
-        error_rate: f64,
-        /// Reliability SLO checked against every cell post-run.
-        slo: Option<vsv::SloSpec>,
-        /// Open-loop service-traffic scenario layered over every cell.
-        traffic: Option<vsv::TrafficSpec>,
-        /// Measured instructions.
-        insts: u64,
-        /// Warm-up instructions.
-        warmup: u64,
+        /// The grid being swept.
+        grid: GridSpec,
         /// Worker threads (0 = `VSV_WORKERS` / host parallelism).
         workers: usize,
         /// Emit the full `SweepReport` as JSON instead of text.
@@ -464,6 +443,21 @@ impl Command {
                 )),
             }
         };
+        // The grid flags `sweep` and the `campaign` verbs share.
+        let grid = |cmd: &str| -> Result<GridSpec, String> {
+            Ok(GridSpec {
+                twin: twin_name.clone(),
+                policy,
+                ladder,
+                cores: single_cores(&cores_list, cmd)?,
+                timekeeping,
+                insts,
+                warmup,
+                error_rate,
+                slo,
+                traffic,
+            })
+        };
         match cmd.as_str() {
             "list" => Ok(Command::List),
             "workloads" => Ok(Command::Workloads {
@@ -514,16 +508,7 @@ impl Command {
                     return Err("--trace-level requires --trace".to_owned());
                 }
                 Ok(Command::Sweep {
-                    twin: twin_name,
-                    policy,
-                    ladder,
-                    cores: single_cores(&cores_list, "sweep")?,
-                    timekeeping,
-                    error_rate,
-                    slo,
-                    traffic,
-                    insts,
-                    warmup,
+                    grid: grid("sweep")?,
                     workers,
                     json,
                     checkpoint,
@@ -534,18 +519,7 @@ impl Command {
                 })
             }
             "campaign" => {
-                let grid = GridSpec {
-                    twin: twin_name,
-                    policy,
-                    ladder,
-                    cores: single_cores(&cores_list, "campaign")?,
-                    timekeeping,
-                    insts,
-                    warmup,
-                    error_rate,
-                    slo,
-                    traffic,
-                };
+                let grid = grid("campaign")?;
                 match campaign_sub.as_deref() {
                     Some("plan") => Ok(Command::CampaignPlan {
                         grid,
@@ -882,87 +856,60 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
                 warmup_instructions: warmup,
                 instructions: insts,
             };
-            if !cores.is_empty() {
-                return cross_cores_compare(
-                    e,
-                    params,
-                    &cores,
-                    timekeeping,
-                    resolve_workers(workers),
-                    json,
-                );
-            }
-            if !ladders.is_empty() {
-                return cross_ladder_compare(
-                    e,
-                    params,
-                    &ladders,
-                    timekeeping,
-                    resolve_workers(workers),
-                    json,
-                );
-            }
-            if !policies.is_empty() {
-                return cross_policy_compare(
-                    e,
-                    params,
-                    &policies,
-                    timekeeping,
-                    resolve_workers(workers),
-                    json,
-                );
-            }
-            // A compare is a two-job sweep: baseline then variant.
-            let sweep = Sweep::over_grid(
-                e,
-                &[params],
-                &[
-                    SystemConfig::baseline().with_timekeeping(timekeeping),
-                    SystemConfig::vsv_with_fsms().with_timekeeping(timekeeping),
-                ],
-            );
-            let report = sweep.report(resolve_workers(workers));
-            if let Some(summary) = failure_summary(&report) {
-                return Err(summary);
-            }
-            let mut results = report.into_results().into_iter();
-            let (base, vsv_run) = match (results.next(), results.next()) {
-                (Some(b), Some(v)) => (b, v),
-                _ => return Err("compare produced fewer than two results".to_owned()),
-            };
-            let cmp = Comparison::of(&base, &vsv_run);
-            if json {
-                #[derive(serde::Serialize)]
-                struct Out {
-                    baseline: vsv::RunResult,
-                    vsv: vsv::RunResult,
-                    comparison: Comparison,
-                }
-                serde_json::to_string_pretty(&Out {
-                    baseline: base,
-                    vsv: vsv_run,
-                    comparison: cmp,
-                })
-                .map(|s| (s, 0))
-                .map_err(|e| e.to_string())
+            let tk = |c: SystemConfig| c.with_timekeeping(timekeeping);
+            let base = tk(SystemConfig::baseline());
+            let disabled = ("disabled".to_owned(), base, base);
+            // Each form is a list of labelled (baseline, variant) pairs;
+            // the table forms name their first column.
+            let (column, pairs): (Option<&str>, Vec<_>) = if !cores.is_empty() {
+                // Each VSV row is judged against the *equally
+                // contended* baseline at the same core count, so the
+                // saving isolates the policy from the shared-L2
+                // slowdown.
+                let pairs = cores.iter().map(|&n| {
+                    (
+                        format!("dual-fsm@c{n}"),
+                        base.with_cores(n),
+                        tk(SystemConfig::vsv_with_fsms()).with_cores(n),
+                    )
+                });
+                (Some("cores"), pairs.collect())
+            } else if !ladders.is_empty() {
+                let pairs = ladders.iter().map(|&d| {
+                    let ladder = SystemConfig::with_policy(PolicySpec::LadderFsm);
+                    (
+                        format!("ladder-fsm@d{d}"),
+                        base,
+                        tk(ladder.with_ladder_depth(d)),
+                    )
+                });
+                (
+                    Some("ladder"),
+                    std::iter::once(disabled).chain(pairs).collect(),
+                )
+            } else if !policies.is_empty() {
+                let pairs = policies
+                    .iter()
+                    .map(|&p| (p.name().to_owned(), base, tk(SystemConfig::with_policy(p))));
+                (
+                    Some("policy"),
+                    std::iter::once(disabled).chain(pairs).collect(),
+                )
             } else {
-                Ok((
-                    format!("baseline: {base}\nvsv     : {vsv_run}\n=> {cmp}\n"),
-                    0,
-                ))
+                let vsv_side = tk(SystemConfig::vsv_with_fsms());
+                (None, vec![("vsv".to_owned(), base, vsv_side)])
+            };
+            let mut out = compare(e, params, &pairs, column, resolve_workers(workers), json)?;
+            if !cores.is_empty() && !json {
+                out.push_str(
+                    "(each row compares dual-fsm to the baseline at the same core count, \
+                     both contended on the shared L2)\n",
+                );
             }
+            Ok((out, 0))
         }
         Command::Sweep {
-            twin: name,
-            policy,
-            ladder,
-            cores,
-            timekeeping,
-            error_rate,
-            slo,
-            traffic,
-            insts,
-            warmup,
+            grid,
             workers,
             json,
             checkpoint,
@@ -971,18 +918,6 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
             trace,
             trace_level,
         } => {
-            let grid = GridSpec {
-                twin: name,
-                policy,
-                ladder,
-                cores,
-                timekeeping,
-                insts,
-                warmup,
-                error_rate,
-                slo,
-                traffic,
-            };
             let mut sweep = grid.to_sweep()?;
             arm_fault(&mut sweep, inject_fault)?;
             let workers = resolve_workers(workers);
@@ -1057,7 +992,7 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
                 }
                 // A reliability-bounded SLO with the error model off is
                 // judged against a retry rate that is trivially zero.
-                if error_rate == 0.0 && slo.is_some_and(|s| s.bounds_reliability()) {
+                if grid.error_rate == 0.0 && grid.slo.is_some_and(|s| s.bounds_reliability()) {
                     out.push_str(
                         "note: the --slo retry/fill ceilings are trivially met because \
                          --error-rate is 0 (no read ever errs); pass --error-rate to \
@@ -1182,10 +1117,11 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
             svg,
         } => {
             let params = twin(&name).ok_or_else(|| unknown_twin(&name))?;
-            let mut sys = System::new(SystemConfig::vsv_with_fsms(), Generator::new(params));
+            let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))
+                .map_err(|e| e.to_string())?;
             sys.enable_trace(ns);
-            sys.warm_up(20_000);
-            let _ = sys.run(30_000);
+            sys.try_warm_up(20_000).map_err(|e| e.to_string())?;
+            sys.try_run(30_000).map_err(|e| e.to_string())?;
             let trace = sys.take_trace().expect("tracing was enabled");
             let mut out = String::new();
             out.push_str("H=high d=down-distribute D=ramp-down L=low u=up-distribute U=ramp-up\n");
@@ -1222,183 +1158,80 @@ struct PolicyRow {
     power_saving_pct: f64,
 }
 
-/// Runs `baseline` plus one VSV config per requested policy on one
-/// twin (a `1 × (1 + P)` sweep grid) and renders the per-policy
-/// energy/EDP/slowdown table (or its JSON rows).
-fn cross_policy_compare(
+/// Runs labelled (baseline, variant) configuration pairs on one twin
+/// as one sweep grid and renders them: under a `column` heading, one
+/// [`PolicyRow`] per pair (the `--policies`, `--ladders` and `--cores`
+/// tables, or their JSON rows); with no heading, the classic
+/// two-sided report of the sole pair. Identical configurations share
+/// a grid cell, so a baseline common to every pair runs once.
+fn compare(
     e: Experiment,
     params: vsv_workloads::WorkloadParams,
-    policies: &[PolicySpec],
-    timekeeping: bool,
+    pairs: &[(String, SystemConfig, SystemConfig)],
+    column: Option<&str>,
     workers: usize,
     json: bool,
-) -> Result<(String, i32), String> {
-    let mut configs = vec![SystemConfig::baseline().with_timekeeping(timekeeping)];
-    configs.extend(
-        policies
-            .iter()
-            .map(|p| SystemConfig::with_policy(*p).with_timekeeping(timekeeping)),
-    );
-    let sweep = Sweep::over_grid(e, &[params], &configs);
-    let report = sweep.report(workers);
+) -> Result<String, String> {
+    let mut keys: Vec<String> = Vec::new();
+    let mut configs: Vec<SystemConfig> = Vec::new();
+    let mut cell = |c: SystemConfig| {
+        let key = format!("{c:?}");
+        keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+            keys.push(key);
+            configs.push(c);
+            configs.len() - 1
+        })
+    };
+    let cells: Vec<(usize, usize)> = pairs.iter().map(|&(_, b, v)| (cell(b), cell(v))).collect();
+    let report = Sweep::over_grid(e, &[params], &configs).report(workers);
     if let Some(summary) = failure_summary(&report) {
         return Err(summary);
     }
     let results = report.into_results();
-    let (base, rest) = match results.split_first() {
-        Some(split) => split,
-        None => return Err("compare produced no results".to_owned()),
-    };
-    let row = |name: &str, r: &vsv::RunResult| {
-        let cmp = Comparison::of(base, r);
-        let energy_mj = r.energy_pj / 1e9;
-        PolicyRow {
-            policy: name.to_owned(),
-            elapsed_ns: r.elapsed_ns,
-            energy_mj,
-            edp_mj_ms: energy_mj * r.elapsed_ns as f64 / 1e6,
-            slowdown_pct: cmp.perf_degradation_pct,
-            power_saving_pct: cmp.power_saving_pct,
+    let json_err = |e: serde_json::Error| e.to_string();
+    let Some(column) = column else {
+        let (b, v) = cells[0];
+        let (base, vsv_run) = (&results[b], &results[v]);
+        let cmp = Comparison::of(base, vsv_run);
+        if json {
+            #[derive(serde::Serialize)]
+            struct Out {
+                baseline: vsv::RunResult,
+                vsv: vsv::RunResult,
+                comparison: Comparison,
+            }
+            return serde_json::to_string_pretty(&Out {
+                baseline: base.clone(),
+                vsv: vsv_run.clone(),
+                comparison: cmp,
+            })
+            .map_err(json_err);
         }
+        return Ok(format!("baseline: {base}\nvsv     : {vsv_run}\n=> {cmp}\n"));
     };
-    let mut rows = vec![row("disabled", base)];
-    rows.extend(policies.iter().zip(rest).map(|(p, r)| row(p.name(), r)));
-    if json {
-        return serde_json::to_string_pretty(&rows)
-            .map(|s| (s, 0))
-            .map_err(|e| e.to_string());
-    }
-    let mut out = format!(
-        "{:<15} {:>11} {:>10} {:>11} {:>10} {:>8}\n",
-        "policy", "elapsed_ns", "energy_mJ", "EDP(mJ·ms)", "slowdown%", "saved%"
-    );
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<15} {:>11} {:>10.4} {:>11.4} {:>10.2} {:>8.2}\n",
-            r.policy, r.elapsed_ns, r.energy_mj, r.edp_mj_ms, r.slowdown_pct, r.power_saving_pct
-        ));
-    }
-    Ok((out, 0))
-}
-
-/// Runs `baseline` plus one `ladder-fsm` VSV config per requested
-/// ladder depth on one twin (a `1 × (1 + D)` sweep grid) and renders
-/// the EDP-vs-depth table (or its JSON rows).
-fn cross_ladder_compare(
-    e: Experiment,
-    params: vsv_workloads::WorkloadParams,
-    depths: &[usize],
-    timekeeping: bool,
-    workers: usize,
-    json: bool,
-) -> Result<(String, i32), String> {
-    let mut configs = vec![SystemConfig::baseline().with_timekeeping(timekeeping)];
-    configs.extend(depths.iter().map(|&d| {
-        SystemConfig::with_policy(PolicySpec::LadderFsm)
-            .with_ladder_depth(d)
-            .with_timekeeping(timekeeping)
-    }));
-    let sweep = Sweep::over_grid(e, &[params], &configs);
-    let report = sweep.report(workers);
-    if let Some(summary) = failure_summary(&report) {
-        return Err(summary);
-    }
-    let results = report.into_results();
-    let (base, rest) = match results.split_first() {
-        Some(split) => split,
-        None => return Err("compare produced no results".to_owned()),
-    };
-    let row = |name: String, r: &vsv::RunResult| {
-        let cmp = Comparison::of(base, r);
-        let energy_mj = r.energy_pj / 1e9;
-        PolicyRow {
-            policy: name,
-            elapsed_ns: r.elapsed_ns,
-            energy_mj,
-            edp_mj_ms: energy_mj * r.elapsed_ns as f64 / 1e6,
-            slowdown_pct: cmp.perf_degradation_pct,
-            power_saving_pct: cmp.power_saving_pct,
-        }
-    };
-    let mut rows = vec![row("disabled".to_owned(), base)];
-    rows.extend(
-        depths
-            .iter()
-            .zip(rest)
-            .map(|(d, r)| row(format!("ladder-fsm@d{d}"), r)),
-    );
-    if json {
-        return serde_json::to_string_pretty(&rows)
-            .map(|s| (s, 0))
-            .map_err(|e| e.to_string());
-    }
-    let mut out = format!(
-        "{:<15} {:>11} {:>10} {:>11} {:>10} {:>8}\n",
-        "ladder", "elapsed_ns", "energy_mJ", "EDP(mJ·ms)", "slowdown%", "saved%"
-    );
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<15} {:>11} {:>10.4} {:>11.4} {:>10.2} {:>8.2}\n",
-            r.policy, r.elapsed_ns, r.energy_mj, r.edp_mj_ms, r.slowdown_pct, r.power_saving_pct
-        ));
-    }
-    Ok((out, 0))
-}
-
-/// Runs one baseline-vs-`dual-fsm` pair per requested core count on
-/// one twin (a `1 × 2K` sweep grid) and renders the scaling table (or
-/// its JSON rows). Each VSV row compares against the *equally
-/// contended* baseline at the same core count, so the saving isolates
-/// the policy from the shared-L2 slowdown.
-fn cross_cores_compare(
-    e: Experiment,
-    params: vsv_workloads::WorkloadParams,
-    counts: &[usize],
-    timekeeping: bool,
-    workers: usize,
-    json: bool,
-) -> Result<(String, i32), String> {
-    let configs: Vec<SystemConfig> = counts
+    let rows: Vec<PolicyRow> = pairs
         .iter()
-        .flat_map(|&n| {
-            [
-                SystemConfig::baseline()
-                    .with_timekeeping(timekeeping)
-                    .with_cores(n),
-                SystemConfig::vsv_with_fsms()
-                    .with_timekeeping(timekeeping)
-                    .with_cores(n),
-            ]
+        .zip(cells)
+        .map(|((label, _, _), (b, v))| {
+            let (base, r) = (&results[b], &results[v]);
+            let cmp = Comparison::of(base, r);
+            let energy_mj = r.energy_pj / 1e9;
+            PolicyRow {
+                policy: label.clone(),
+                elapsed_ns: r.elapsed_ns,
+                energy_mj,
+                edp_mj_ms: energy_mj * r.elapsed_ns as f64 / 1e6,
+                slowdown_pct: cmp.perf_degradation_pct,
+                power_saving_pct: cmp.power_saving_pct,
+            }
         })
         .collect();
-    let sweep = Sweep::over_grid(e, &[params], &configs);
-    let report = sweep.report(workers);
-    if let Some(summary) = failure_summary(&report) {
-        return Err(summary);
-    }
-    let results = report.into_results();
-    let mut rows = Vec::with_capacity(counts.len());
-    for (i, &n) in counts.iter().enumerate() {
-        let (base, vsv_run) = (&results[2 * i], &results[2 * i + 1]);
-        let cmp = Comparison::of(base, vsv_run);
-        let energy_mj = vsv_run.energy_pj / 1e9;
-        rows.push(PolicyRow {
-            policy: format!("dual-fsm@c{n}"),
-            elapsed_ns: vsv_run.elapsed_ns,
-            energy_mj,
-            edp_mj_ms: energy_mj * vsv_run.elapsed_ns as f64 / 1e6,
-            slowdown_pct: cmp.perf_degradation_pct,
-            power_saving_pct: cmp.power_saving_pct,
-        });
-    }
     if json {
-        return serde_json::to_string_pretty(&rows)
-            .map(|s| (s, 0))
-            .map_err(|e| e.to_string());
+        return serde_json::to_string_pretty(&rows).map_err(json_err);
     }
     let mut out = format!(
         "{:<15} {:>11} {:>10} {:>11} {:>10} {:>8}\n",
-        "cores", "elapsed_ns", "energy_mJ", "EDP(mJ·ms)", "slowdown%", "saved%"
+        column, "elapsed_ns", "energy_mJ", "EDP(mJ·ms)", "slowdown%", "saved%"
     );
     for r in &rows {
         out.push_str(&format!(
@@ -1406,11 +1239,7 @@ fn cross_cores_compare(
             r.policy, r.elapsed_ns, r.energy_mj, r.edp_mj_ms, r.slowdown_pct, r.power_saving_pct
         ));
     }
-    out.push_str(
-        "(each row compares dual-fsm to the baseline at the same core count, \
-         both contended on the shared L2)\n",
-    );
-    Ok((out, 0))
+    Ok(out)
 }
 
 /// One job's accumulated state while summarizing a JSONL trace.
@@ -2030,16 +1859,18 @@ mod tests {
 
     fn sweep_cmd(twin: Option<&str>, workers: usize, json: bool) -> Command {
         Command::Sweep {
-            twin: twin.map(str::to_owned),
-            policy: None,
-            ladder: None,
-            cores: None,
-            timekeeping: false,
-            error_rate: 0.0,
-            slo: None,
-            traffic: None,
-            insts: 3_000,
-            warmup: 1_000,
+            grid: GridSpec {
+                twin: twin.map(str::to_owned),
+                policy: None,
+                ladder: None,
+                cores: None,
+                timekeeping: false,
+                insts: 3_000,
+                warmup: 1_000,
+                error_rate: 0.0,
+                slo: None,
+                traffic: None,
+            },
             workers,
             json,
             checkpoint: None,
@@ -2056,16 +1887,18 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Sweep {
-                twin: None,
-                policy: None,
-                ladder: None,
-                cores: None,
-                timekeeping: false,
-                error_rate: 0.0,
-                slo: None,
-                traffic: None,
-                insts: 300_000,
-                warmup: 100_000,
+                grid: GridSpec {
+                    twin: None,
+                    policy: None,
+                    ladder: None,
+                    cores: None,
+                    timekeeping: false,
+                    insts: 300_000,
+                    warmup: 100_000,
+                    error_rate: 0.0,
+                    slo: None,
+                    traffic: None,
+                },
                 workers: 4,
                 json: true,
                 checkpoint: None,
@@ -2138,14 +1971,11 @@ mod tests {
             "50000,8",
         ]))
         .expect("valid");
-        let Command::Sweep {
-            error_rate, slo, ..
-        } = cmd
-        else {
+        let Command::Sweep { grid, .. } = cmd else {
             panic!("expected a sweep command");
         };
-        assert_eq!(error_rate, 0.02);
-        assert_eq!(slo, Some(vsv::SloSpec::new(50_000, 8)));
+        assert_eq!(grid.error_rate, 0.02);
+        assert_eq!(grid.slo, Some(vsv::SloSpec::new(50_000, 8)));
 
         let err = Command::parse(&sv(&["sweep", "--error-rate", "1.5"])).expect_err("out of range");
         assert!(err.contains("probability"), "{err}");
@@ -2165,11 +1995,11 @@ mod tests {
             "poisson:rate=0.5,size=2000,seed=9",
         ]))
         .expect("valid");
-        let Command::Sweep { traffic, .. } = cmd else {
+        let Command::Sweep { grid, .. } = cmd else {
             panic!("expected a sweep command");
         };
         assert_eq!(
-            traffic,
+            grid.traffic,
             Some(vsv::TrafficSpec::poisson(0.5, 2_000).with_seed(9))
         );
 
@@ -2179,11 +2009,11 @@ mod tests {
             "mmpp:rate=0.01,burst=0.2,on=20000,off=40000,size=5000",
         ]))
         .expect("valid");
-        let Command::Sweep { traffic, .. } = cmd else {
+        let Command::Sweep { grid, .. } = cmd else {
             panic!("expected a sweep command");
         };
         assert_eq!(
-            traffic,
+            grid.traffic,
             Some(vsv::TrafficSpec::mmpp(0.01, 0.2, 20_000, 40_000, 5_000))
         );
 
@@ -2210,11 +2040,11 @@ mod tests {
     #[test]
     fn parses_slo_key_value_form() {
         let cmd = Command::parse(&sv(&["sweep", "--slo", "p99=60000,p999=120000"])).expect("valid");
-        let Command::Sweep { slo, .. } = cmd else {
+        let Command::Sweep { grid, .. } = cmd else {
             panic!("expected a sweep command");
         };
         assert_eq!(
-            slo,
+            grid.slo,
             Some(
                 vsv::SloSpec::new(u64::MAX, u64::MAX)
                     .with_request_p99(60_000)
@@ -2224,10 +2054,10 @@ mod tests {
 
         let cmd =
             Command::parse(&sv(&["sweep", "--slo", "retry=50000,fill_p99=8"])).expect("valid");
-        let Command::Sweep { slo, .. } = cmd else {
+        let Command::Sweep { grid, .. } = cmd else {
             panic!("expected a sweep command");
         };
-        assert_eq!(slo, Some(vsv::SloSpec::new(50_000, 8)));
+        assert_eq!(grid.slo, Some(vsv::SloSpec::new(50_000, 8)));
 
         let err = Command::parse(&sv(&["sweep", "--slo", "p50=10"])).expect_err("unknown key");
         assert!(err.contains("retry | fill_p99 | p99 | p999"), "{err}");
@@ -2253,8 +2083,8 @@ mod tests {
         // the text output says so (without crying wolf: exit 0, no
         // violation language).
         let mut cmd = sweep_cmd(Some("gzip"), 1, false);
-        if let Command::Sweep { slo, .. } = &mut cmd {
-            *slo = Some(vsv::SloSpec::new(50_000, u64::MAX));
+        if let Command::Sweep { grid, .. } = &mut cmd {
+            grid.slo = Some(vsv::SloSpec::new(50_000, u64::MAX));
         }
         let (out, code) = execute_with_exit(cmd).expect("runs");
         assert_eq!(code, 0, "{out}");
@@ -2263,9 +2093,9 @@ mod tests {
 
         // A latency-only SLO has nothing reliability-bound: no note.
         let mut cmd = sweep_cmd(Some("gzip"), 1, false);
-        if let Command::Sweep { slo, traffic, .. } = &mut cmd {
-            *slo = Some(vsv::SloSpec::new(u64::MAX, u64::MAX).with_request_p99(u64::MAX - 1));
-            *traffic = Some(vsv::TrafficSpec::poisson(0.05, 500));
+        if let Command::Sweep { grid, .. } = &mut cmd {
+            grid.slo = Some(vsv::SloSpec::new(u64::MAX, u64::MAX).with_request_p99(u64::MAX - 1));
+            grid.traffic = Some(vsv::TrafficSpec::poisson(0.05, 500));
         }
         let (out, code) = execute_with_exit(cmd).expect("runs");
         assert_eq!(code, 0, "{out}");
@@ -2275,8 +2105,8 @@ mod tests {
     #[test]
     fn sweep_with_traffic_reports_request_fields() {
         let mut cmd = sweep_cmd(Some("gzip"), 1, true);
-        if let Command::Sweep { traffic, .. } = &mut cmd {
-            *traffic = Some(vsv::TrafficSpec::poisson(2.0, 200));
+        if let Command::Sweep { grid, .. } = &mut cmd {
+            grid.traffic = Some(vsv::TrafficSpec::poisson(2.0, 200));
         }
         let (out, code) = execute_with_exit(cmd).expect("runs");
         assert_eq!(code, 0);
@@ -2345,12 +2175,9 @@ mod tests {
     #[test]
     fn slo_violation_exits_3_and_names_the_cell() {
         let mut cmd = sweep_cmd(Some("mcf"), 2, false);
-        if let Command::Sweep {
-            error_rate, slo, ..
-        } = &mut cmd
-        {
-            *error_rate = 0.05;
-            *slo = Some(vsv::SloSpec::new(0, 0));
+        if let Command::Sweep { grid, .. } = &mut cmd {
+            grid.error_rate = 0.05;
+            grid.slo = Some(vsv::SloSpec::new(0, 0));
         }
         let (out, code) = execute_with_exit(cmd).expect("sweep completes");
         assert_eq!(code, 3, "{out}");
@@ -2359,12 +2186,9 @@ mod tests {
 
         // A generous SLO over the same run is compliant: exit 0.
         let mut cmd = sweep_cmd(Some("mcf"), 2, false);
-        if let Command::Sweep {
-            error_rate, slo, ..
-        } = &mut cmd
-        {
-            *error_rate = 0.05;
-            *slo = Some(vsv::SloSpec::new(1_000_000, 1_000));
+        if let Command::Sweep { grid, .. } = &mut cmd {
+            grid.error_rate = 0.05;
+            grid.slo = Some(vsv::SloSpec::new(1_000_000, 1_000));
         }
         let (out, code) = execute_with_exit(cmd).expect("sweep completes");
         assert_eq!(code, 0, "{out}");
@@ -2490,10 +2314,10 @@ mod tests {
     #[test]
     fn parses_sweep_policy_and_compare_policies() {
         let cmd = Command::parse(&sv(&["sweep", "--policy", "oracle-down"])).expect("valid");
-        let Command::Sweep { policy, .. } = cmd else {
+        let Command::Sweep { grid, .. } = cmd else {
             panic!("expected a sweep command");
         };
-        assert_eq!(policy, Some(PolicySpec::OracleDown));
+        assert_eq!(grid.policy, Some(PolicySpec::OracleDown));
 
         let cmd = Command::parse(&sv(&[
             "compare",
@@ -2586,11 +2410,11 @@ mod tests {
     fn parses_ladder_flags() {
         let cmd = Command::parse(&sv(&["sweep", "--policy", "ladder-fsm", "--ladder", "4"]))
             .expect("valid");
-        let Command::Sweep { policy, ladder, .. } = cmd else {
+        let Command::Sweep { grid, .. } = cmd else {
             panic!("expected a sweep command");
         };
-        assert_eq!(policy, Some(PolicySpec::LadderFsm));
-        assert_eq!(ladder, Some(4));
+        assert_eq!(grid.policy, Some(PolicySpec::LadderFsm));
+        assert_eq!(grid.ladder, Some(4));
 
         let cmd = Command::parse(&sv(&["compare", "--twin", "mcf", "--ladders", "1,2,4"]))
             .expect("valid");
@@ -2655,10 +2479,10 @@ mod tests {
     #[test]
     fn parses_cores_flags() {
         let cmd = Command::parse(&sv(&["sweep", "--twin", "mcf", "--cores", "2"])).expect("valid");
-        let Command::Sweep { cores, .. } = cmd else {
+        let Command::Sweep { grid, .. } = cmd else {
             panic!("expected a sweep command");
         };
-        assert_eq!(cores, Some(2));
+        assert_eq!(grid.cores, Some(2));
 
         let cmd =
             Command::parse(&sv(&["compare", "--twin", "mcf", "--cores", "1,2,4"])).expect("valid");

@@ -136,14 +136,6 @@ impl SharedFabric {
         self.dram.accesses()
     }
 
-    /// The shared L2's hit/miss statistics (chip-wide; per-core miss
-    /// counts stay in each core's
-    /// [`HierarchyStats`](crate::HierarchyStats)).
-    #[must_use]
-    pub fn l2_stats(&self) -> crate::CacheStats {
-        self.l2.stats()
-    }
-
     fn tag(core: usize, addr: Addr) -> Addr {
         Addr(addr.0 | ((core as u64 + 1) << CORE_TAG_SHIFT))
     }

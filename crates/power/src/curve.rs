@@ -74,13 +74,6 @@ impl VoltageCurve {
         }
     }
 
-    /// The calibrated voltage range `[VDDL, VDDH]` the curve is valid
-    /// over.
-    #[must_use]
-    pub fn calibrated_range(&self) -> (f64, f64) {
-        (self.vddl, self.vddh)
-    }
-
     /// Maximum clock frequency at supply `v`, relative to the clock at
     /// VDDH: `(v − Vth) / (VDDH − Vth)`. Exactly `1.0` at VDDH and
     /// `0.5` at VDDL by calibration.

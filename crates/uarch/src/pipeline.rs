@@ -197,12 +197,6 @@ impl<S: InstStream> Core<S> {
         &self.bpred
     }
 
-    /// Current RUU occupancy (for power/occupancy traces).
-    #[must_use]
-    pub fn ruu_occupancy(&self) -> usize {
-        self.ruu.occupancy()
-    }
-
     /// Whether the program has fully drained: the stream ended and no
     /// instruction remains anywhere in the machine.
     #[must_use]

@@ -182,16 +182,11 @@ impl VsvConfig {
     }
 
     /// VSV without the FSMs: down on every detected demand miss, up on
-    /// every demand return (Figure 4's white bars). Equivalent to
-    /// [`PolicySpec::ImmediateDown`].
+    /// every demand return (Figure 4's white bars) — the
+    /// [`PolicySpec::ImmediateDown`] policy.
     #[must_use]
     pub fn without_fsms() -> Self {
-        VsvConfig {
-            enabled: true,
-            down: DownPolicy::Immediate,
-            up: UpPolicy::FirstReturn,
-            ..Self::disabled()
-        }
+        Self::with_policy(PolicySpec::ImmediateDown)
     }
 
     /// VSV under a named policy (FSM thresholds and circuit timing at
@@ -466,14 +461,6 @@ impl VsvController {
     #[must_use]
     pub fn level(&self) -> usize {
         self.level
-    }
-
-    /// The ladder level the controller is currently sequencing toward
-    /// (equals [`VsvController::level`] when settled with no pending
-    /// retarget).
-    #[must_use]
-    pub fn target_level(&self) -> usize {
-        self.target
     }
 
     /// The pipeline clock period (ns) in force right now: the current

@@ -53,22 +53,21 @@
 //! ## Quickstart
 //!
 //! ```
-//! use vsv::{Comparison, Experiment, SystemConfig};
+//! use vsv::{Experiment, SystemConfig};
 //! use vsv_workloads::twin;
 //!
 //! let ammp = twin("ammp").expect("part of the suite");
 //! let e = Experiment::quick();
-//! let (base, vsv_run, cmp) =
-//!     e.compare(&ammp, SystemConfig::baseline(), SystemConfig::vsv_with_fsms());
+//! let (base, _vsv_run, cmp) = e
+//!     .compare(&ammp, SystemConfig::baseline(), SystemConfig::vsv_with_fsms())
+//!     .expect("a valid configuration runs");
 //! assert!(base.mpki > 1.0);           // a memory-bound twin
 //! assert!(cmp.power_saving_pct > 0.0); // VSV saves power on it
-//! let _ = vsv_run;
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Library code reports failures as typed `SimError`s (or reaches a
-// deliberate `panic!` in a documented thin wrapper); `.unwrap()` and
+// Library code reports failures as typed `SimError`s; `.unwrap()` and
 // `.expect()` are reserved for test code. CI runs clippy with
 // `-D warnings`, promoting these to errors.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]

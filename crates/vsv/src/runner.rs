@@ -40,20 +40,9 @@ impl Experiment {
         }
     }
 
-    /// Runs one workload under one configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`]; the fallible form is
-    /// [`Experiment::try_run`].
-    #[must_use]
-    pub fn run(&self, params: &WorkloadParams, cfg: SystemConfig) -> RunResult {
-        self.try_run(params, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Runs one workload under one configuration, returning failures
     /// (invalid configuration, deadlock, exhausted budget, injected
-    /// fault) as typed errors instead of panicking. This is the entry
+    /// fault) as typed errors. This is the entry
     /// point [`crate::Sweep`] uses, so a bad grid cell becomes a
     /// per-cell failure record rather than a dead sweep.
     ///
@@ -198,17 +187,20 @@ impl Experiment {
 
     /// Runs a (baseline, variant) pair over the same workload and
     /// compares them with the paper's metrics.
-    #[must_use]
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`] either run raises.
     pub fn compare(
         &self,
         params: &WorkloadParams,
         baseline: SystemConfig,
         variant: SystemConfig,
-    ) -> (RunResult, RunResult, Comparison) {
-        let base = self.run(params, baseline);
-        let vsv = self.run(params, variant);
+    ) -> Result<(RunResult, RunResult, Comparison), SimError> {
+        let base = self.try_run(params, baseline)?;
+        let vsv = self.try_run(params, variant)?;
         let cmp = Comparison::of(&base, &vsv);
-        (base, vsv, cmp)
+        Ok((base, vsv, cmp))
     }
 }
 
@@ -220,10 +212,12 @@ mod tests {
     #[test]
     fn quick_experiment_runs_a_twin() {
         let e = Experiment::quick();
-        let r = e.run(
-            &twin("gzip").expect("gzip exists"),
-            SystemConfig::baseline(),
-        );
+        let r = e
+            .try_run(
+                &twin("gzip").expect("gzip exists"),
+                SystemConfig::baseline(),
+            )
+            .expect("runs");
         assert_eq!(r.workload, "gzip");
         assert!((e.instructions..e.instructions + 8).contains(&r.instructions));
         assert!(r.ipc > 0.2);
@@ -247,8 +241,9 @@ mod tests {
     fn compare_produces_paper_metrics() {
         let e = Experiment::quick();
         let p = twin("ammp").expect("ammp exists");
-        let (base, vsv, cmp) =
-            e.compare(&p, SystemConfig::baseline(), SystemConfig::vsv_with_fsms());
+        let (base, vsv, cmp) = e
+            .compare(&p, SystemConfig::baseline(), SystemConfig::vsv_with_fsms())
+            .expect("runs");
         assert!(base.mpki > 1.0, "ammp twin misses, got {}", base.mpki);
         assert!(vsv.mode.down_transitions > 0);
         assert!(cmp.power_saving_pct > 0.0, "got {}", cmp.power_saving_pct);
@@ -274,23 +269,26 @@ impl Experiment {
     /// of a result is the parameter point versus the particular
     /// pseudo-random interleaving.
     ///
+    /// # Errors
+    ///
+    /// The first [`SimError`] any run raises.
+    ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
-    #[must_use]
     pub fn compare_across_seeds(
         &self,
         params: &WorkloadParams,
         baseline: SystemConfig,
         variant: SystemConfig,
         seeds: &[u64],
-    ) -> ComparisonSpread {
+    ) -> Result<ComparisonSpread, SimError> {
         assert!(!seeds.is_empty(), "need at least one seed");
         let mut comparisons = Vec::with_capacity(seeds.len());
         for &seed in seeds {
             let mut p = *params;
             p.seed = seed;
-            let (_, _, cmp) = self.compare(&p, baseline, variant);
+            let (_, _, cmp) = self.compare(&p, baseline, variant)?;
             comparisons.push(cmp);
         }
         let mean = crate::report::mean_comparison(&comparisons);
@@ -298,11 +296,11 @@ impl Experiment {
         let var = |f: &dyn Fn(&crate::report::Comparison) -> f64, mu: f64| {
             comparisons.iter().map(|c| (f(c) - mu).powi(2)).sum::<f64>() / n
         };
-        ComparisonSpread {
+        Ok(ComparisonSpread {
             mean,
             power_std: var(&|c| c.power_saving_pct, mean.power_saving_pct).sqrt(),
             perf_std: var(&|c| c.perf_degradation_pct, mean.perf_degradation_pct).sqrt(),
-        }
+        })
     }
 }
 
@@ -318,12 +316,14 @@ mod seed_tests {
             instructions: 40_000,
         };
         let p = twin("ammp").expect("ammp exists");
-        let spread = e.compare_across_seeds(
-            &p,
-            SystemConfig::baseline(),
-            SystemConfig::vsv_with_fsms(),
-            &[1, 2, 3],
-        );
+        let spread = e
+            .compare_across_seeds(
+                &p,
+                SystemConfig::baseline(),
+                SystemConfig::vsv_with_fsms(),
+                &[1, 2, 3],
+            )
+            .expect("runs");
         assert!(spread.mean.power_saving_pct > 5.0);
         // The effect is a property of the parameter point, not of one
         // lucky seed: the spread is small relative to the mean.

@@ -7,7 +7,7 @@
 //! [`Sweep`] provides both: jobs execute on `std::thread::scope`
 //! workers pulling from a shared atomic queue, and results come back
 //! in **grid order** (the order jobs were supplied), bit-identical to
-//! a serial loop over [`Experiment::run`] regardless of the worker
+//! a serial loop over [`Experiment::try_run`] regardless of the worker
 //! count or the scheduling interleaving. `tests/sweep_equivalence.rs`
 //! pins that guarantee.
 //!
@@ -422,22 +422,6 @@ impl Sweep {
         Sweep { experiment, jobs }
     }
 
-    /// The ladder-depth axis: for each parameter point, `base`
-    /// rebuilt on a uniform ladder of every depth in `depths`
-    /// (params-major, like [`Sweep::over_grid`]). Row `i` corresponds
-    /// to `params[i / depths.len()]` at `depths[i % depths.len()]`.
-    #[must_use]
-    pub fn over_ladder_depths(
-        experiment: Experiment,
-        params: &[WorkloadParams],
-        base: SystemConfig,
-        depths: &[usize],
-    ) -> Self {
-        let configs: Vec<SystemConfig> =
-            depths.iter().map(|&d| base.with_ladder_depth(d)).collect();
-        Self::over_grid(experiment, params, &configs)
-    }
-
     /// The core-count axis: for each parameter point, `base` rebuilt
     /// at every core count in `cores` (params-major, like
     /// [`Sweep::over_grid`]). Row `i` corresponds to
@@ -509,7 +493,7 @@ impl Sweep {
     /// `(params, config)` and the experiment scale — every simulator
     /// is owned by exactly one job — so on an all-success grid the
     /// result vector is bit-identical for any `workers >= 1` and
-    /// equal to a serial loop over [`Experiment::run`]. Only the
+    /// equal to a serial loop over [`Experiment::try_run`]. Only the
     /// `wall_ns` fields vary between runs.
     ///
     /// Fault isolation: a job that fails — typed [`SimError`] or a

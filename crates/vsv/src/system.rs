@@ -46,7 +46,7 @@ pub struct SystemConfig {
     /// the flag exists so tests can pin the ns-stepped reference path.
     pub fast_forward: bool,
     /// Watchdog budget: hard ceiling on *simulated* nanoseconds per
-    /// [`System::run`]/[`System::warm_up`] window. A window that
+    /// [`System::try_run`]/[`System::try_warm_up`] window. A window that
     /// exceeds it fails with [`SimError::BudgetExhausted`] instead of
     /// simulating forever. `None` (the default) means unlimited;
     /// `Some(0)` is rejected by [`SystemConfig::validate`].
@@ -376,8 +376,8 @@ struct Anchors {
 /// use vsv_workloads::{Generator, WorkloadParams};
 ///
 /// let stream = Generator::new(WorkloadParams::compute_bound("demo"));
-/// let mut sys = System::new(SystemConfig::baseline(), stream);
-/// let result = sys.run(5_000);
+/// let mut sys = System::try_new(SystemConfig::baseline(), stream).expect("valid config");
+/// let result = sys.try_run(5_000).expect("runs");
 /// assert!(result.instructions >= 5_000); // 8-wide commit may overshoot
 /// assert!(result.avg_power_w > 0.0);
 /// ```
@@ -425,17 +425,6 @@ pub struct System<S> {
 }
 
 impl<S: InstStream> System<S> {
-    /// Builds the system over `stream`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sub-configuration is invalid; the fallible form
-    /// is [`System::try_new`].
-    #[must_use]
-    pub fn new(cfg: SystemConfig, stream: S) -> Self {
-        Self::try_new(cfg, stream).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Builds the system over `stream`, validating the configuration
     /// first.
     ///
@@ -559,7 +548,7 @@ impl<S: InstStream> System<S> {
     }
 
     /// The metrics registry of the last closed measurement window
-    /// (what [`System::run`] measured); empty before the first window
+    /// (what [`System::try_run`] measured); empty before the first window
     /// closes.
     #[must_use]
     pub fn window_metrics(&self) -> &MetricsRegistry {
@@ -610,42 +599,21 @@ impl<S: InstStream> System<S> {
 
     /// Runs `instructions` committed instructions to warm the caches
     /// and predictors, then re-anchors all measurement counters so the
-    /// next [`System::run`] reports steady-state numbers (the paper
+    /// next [`System::try_run`] reports steady-state numbers (the paper
     /// warms caches during fast-forward, §5).
-    pub fn warm_up(&mut self, instructions: u64) {
-        self.try_warm_up(instructions)
-            .unwrap_or_else(|e| panic!("warm-up failed: {e}"));
-    }
-
-    /// Fallible form of [`System::warm_up`].
     ///
     /// # Errors
     ///
     /// Returns the [`SimError`] that ended the warm-up window early
     /// (deadlock, exhausted budget, injected fault).
     pub fn try_warm_up(&mut self, instructions: u64) -> Result<(), SimError> {
-        let _ = self.run_internal(instructions)?;
+        let _ = self.try_run(instructions)?;
         self.reset_measurement();
         Ok(())
     }
 
     /// Runs `instructions` committed instructions and reports the
     /// measured window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine stops making forward progress (a model
-    /// deadlock — indicates a simulator bug) or exceeds its
-    /// [`SystemConfig::max_sim_ns`] budget; the fallible form is
-    /// [`System::try_run`].
-    pub fn run(&mut self, instructions: u64) -> RunResult {
-        self.run_internal(instructions)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs `instructions` committed instructions and reports the
-    /// measured window, returning failures as typed [`SimError`]s
-    /// instead of panicking.
     ///
     /// # Errors
     ///
@@ -654,10 +622,6 @@ impl<S: InstStream> System<S> {
     /// exceeds [`SystemConfig::max_sim_ns`]; the injected error when
     /// [`SystemConfig::inject_fault`] is armed.
     pub fn try_run(&mut self, instructions: u64) -> Result<RunResult, SimError> {
-        self.run_internal(instructions)
-    }
-
-    fn run_internal(&mut self, instructions: u64) -> Result<RunResult, SimError> {
         if let Some(kind) = self.inject_fault {
             match kind {
                 // Same construction path as the real detector below,
@@ -830,7 +794,7 @@ impl<S: InstStream> System<S> {
 
     /// Advances the simulation by exactly one nanosecond without any
     /// completion criterion — the single-stepping primitive under
-    /// [`System::run`], exposed for tools that want to observe the
+    /// [`System::try_run`], exposed for tools that want to observe the
     /// controller's mode trajectory cycle by cycle.
     pub fn step_ns(&mut self) {
         self.step();
@@ -1259,14 +1223,14 @@ impl<S: InstStream> System<S> {
     //
     // `MulticoreSystem` steps N `System`s in nanosecond lockstep from
     // outside this module, so it needs crate-visible handles onto the
-    // window machinery that `run_internal` drives privately.
+    // window machinery that `try_run` drives internally.
 
     /// Attaches this core's hierarchy to the chip's shared fabric.
     pub(crate) fn attach_shared_fabric(&mut self, handle: vsv_mem::SharedHandle) {
         self.core.mem_mut().attach_shared(handle);
     }
 
-    /// Replays `run_internal`'s window prologue: dispatches an armed
+    /// Replays `try_run`'s window prologue: dispatches an armed
     /// injected fault (terminal kinds fail immediately; the
     /// unrecoverable-read kind arms the hierarchy and lets the window
     /// run).
@@ -1285,7 +1249,7 @@ impl<S: InstStream> System<S> {
     }
 
     /// Escalates a parked exhausted retry budget into the typed error
-    /// `run_internal` would have returned, if one is pending.
+    /// `try_run` would have returned, if one is pending.
     pub(crate) fn take_unrecoverable_error(&mut self) -> Option<SimError> {
         self.pending_unrecoverable
             .take()
@@ -1305,7 +1269,7 @@ impl<S: InstStream> System<S> {
     }
 
     /// Crate-visible window close: charges uncore energy, builds the
-    /// [`RunResult`] and re-anchors — exactly what `run_internal` does
+    /// [`RunResult`] and re-anchors — exactly what `try_run` does
     /// when its commit target is reached.
     pub(crate) fn finish_window_now(&mut self) -> RunResult {
         self.finish_window()
@@ -1355,13 +1319,24 @@ mod tests {
     }
 
     #[test]
+    fn config_constructors_report_their_policy() {
+        assert_eq!(SystemConfig::baseline().policy_name(), "disabled");
+        assert_eq!(SystemConfig::vsv_with_fsms().policy_name(), "dual-fsm");
+        assert_eq!(
+            SystemConfig::vsv_without_fsms().policy_name(),
+            "immediate-down"
+        );
+    }
+
+    #[test]
     fn baseline_run_reports_sane_numbers() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
-        );
-        sys.warm_up(5_000);
-        let r = sys.run(20_000);
+        )
+        .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(20_000).expect("run");
         // Commit is 8-wide, so the window may overshoot by up to 7.
         assert!(
             (20_000..20_008).contains(&r.instructions),
@@ -1379,11 +1354,12 @@ mod tests {
 
     #[test]
     fn baseline_cycles_equal_elapsed_ns() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
-        );
-        let r = sys.run(10_000);
+        )
+        .expect("valid config");
+        let r = sys.try_run(10_000).expect("run");
         assert_eq!(
             r.pipeline_cycles, r.elapsed_ns,
             "full speed: 1 cycle per ns"
@@ -1393,13 +1369,15 @@ mod tests {
     #[test]
     fn vsv_saves_power_on_memory_bound_twin() {
         let params = memory_bound_params();
-        let mut base = System::new(SystemConfig::baseline(), Generator::new(params));
-        base.warm_up(10_000);
-        let rb = base.run(30_000);
+        let mut base = System::try_new(SystemConfig::baseline(), Generator::new(params))
+            .expect("valid config");
+        base.try_warm_up(10_000).expect("warm-up");
+        let rb = base.try_run(30_000).expect("run");
 
-        let mut vsv = System::new(SystemConfig::vsv_with_fsms(), Generator::new(params));
-        vsv.warm_up(10_000);
-        let rv = vsv.run(30_000);
+        let mut vsv = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))
+            .expect("valid config");
+        vsv.try_warm_up(10_000).expect("warm-up");
+        let rv = vsv.try_run(30_000).expect("run");
 
         assert!(rb.mpki > 4.0, "twin must be memory bound, MR {}", rb.mpki);
         assert!(rv.mode.down_transitions > 0, "VSV must engage");
@@ -1420,12 +1398,14 @@ mod tests {
     fn vsv_leaves_compute_bound_twin_alone() {
         let mut p = WorkloadParams::compute_bound("cpu");
         p.far_fraction = 0.0;
-        let mut base = System::new(SystemConfig::baseline(), Generator::new(p));
-        base.warm_up(5_000);
-        let rb = base.run(20_000);
-        let mut vsv = System::new(SystemConfig::vsv_with_fsms(), Generator::new(p));
-        vsv.warm_up(5_000);
-        let rv = vsv.run(20_000);
+        let mut base =
+            System::try_new(SystemConfig::baseline(), Generator::new(p)).expect("valid config");
+        base.try_warm_up(5_000).expect("warm-up");
+        let rb = base.try_run(20_000).expect("run");
+        let mut vsv = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(p))
+            .expect("valid config");
+        vsv.try_warm_up(5_000).expect("warm-up");
+        let rv = vsv.try_run(20_000).expect("run");
         // A handful of first-touch hot-set blocks may still miss after
         // warm-up; the twin has no sustained miss traffic though.
         assert!(
@@ -1442,12 +1422,13 @@ mod tests {
 
     #[test]
     fn mode_residency_sums_to_elapsed() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::vsv_without_fsms(),
             Generator::new(memory_bound_params()),
-        );
-        sys.warm_up(5_000);
-        let r = sys.run(20_000);
+        )
+        .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(20_000).expect("run");
         let total: u64 = r.mode.ns_in_mode.iter().sum();
         assert_eq!(total, r.elapsed_ns);
         assert!(r.mode.low_residency() > 0.0, "memory-bound: some low time");
@@ -1460,14 +1441,14 @@ mod tests {
         p.far_fraction = 0.30;
         p.mem_fraction = 0.35;
         let cfg = SystemConfig::baseline();
-        let mut base = System::new(cfg, Generator::new(p));
-        base.warm_up(20_000);
-        let rb = base.run(60_000);
+        let mut base = System::try_new(cfg, Generator::new(p)).expect("valid config");
+        base.try_warm_up(20_000).expect("warm-up");
+        let rb = base.try_run(60_000).expect("run");
 
         let cfg_tk = SystemConfig::baseline().with_timekeeping(true);
-        let mut tk = System::new(cfg_tk, Generator::new(p));
-        tk.warm_up(20_000);
-        let rt = tk.run(60_000);
+        let mut tk = System::try_new(cfg_tk, Generator::new(p)).expect("valid config");
+        tk.try_warm_up(20_000).expect("warm-up");
+        let rt = tk.try_run(60_000).expect("run");
 
         assert!(rb.mpki > 5.0, "stream twin must miss: {}", rb.mpki);
         assert!(
@@ -1480,12 +1461,13 @@ mod tests {
 
     #[test]
     fn warm_up_resets_measurement() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
-        );
-        sys.warm_up(5_000);
-        let r = sys.run(1_000);
+        )
+        .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(1_000).expect("run");
         assert!(
             (1_000..1_008).contains(&r.instructions),
             "window counts only measured insts (8-wide commit may overshoot): {}",
@@ -1506,18 +1488,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid configuration")]
-    fn new_still_panics_on_invalid_config() {
-        let mut cfg = SystemConfig::baseline();
-        cfg.core.issue_width = 0;
-        let _ = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-    }
-
-    #[test]
     fn budget_exhaustion_is_a_typed_error() {
         // A 50-ns budget cannot hold a 20k-instruction window.
         let cfg = SystemConfig::baseline().with_max_sim_ns(Some(50));
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
         sys.set_workload_name("budget");
         let err = sys.try_run(20_000).expect_err("budget too small");
         match err {
@@ -1531,14 +1506,16 @@ mod tests {
         }
         // A generous budget changes nothing.
         let cfg = SystemConfig::baseline().with_max_sim_ns(Some(u64::MAX));
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
         assert!(sys.try_run(5_000).is_ok());
     }
 
     #[test]
     fn injected_deadlock_is_typed_and_carries_the_ring() {
         let cfg = SystemConfig::vsv_with_fsms().with_injected_fault(crate::FaultKind::Deadlock);
-        let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
+        let mut sys =
+            System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
         sys.set_workload_name("membound");
         let err = sys.try_warm_up(5_000).expect_err("fault armed");
         match &err {
@@ -1562,18 +1539,20 @@ mod tests {
     #[should_panic(expected = "injected panic fault")]
     fn injected_panic_panics() {
         let cfg = SystemConfig::baseline().with_injected_fault(crate::FaultKind::Panic);
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-        let _ = sys.run(1_000);
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
+        let _ = sys.try_run(1_000).expect("run");
     }
 
     #[test]
     fn transition_ring_tracks_mode_changes() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::vsv_with_fsms(),
             Generator::new(memory_bound_params()),
-        );
-        sys.warm_up(5_000);
-        let r = sys.run(20_000);
+        )
+        .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(20_000).expect("run");
         assert!(r.mode.down_transitions > 0, "memory-bound twin must dip");
         // Force a deadlock report and check the ring came along.
         sys.inject_fault = Some(crate::FaultKind::Deadlock);
@@ -1600,7 +1579,8 @@ mod tests {
     fn injected_unrecoverable_read_is_typed_and_counts_the_retries() {
         let cfg =
             SystemConfig::vsv_with_fsms().with_injected_fault(crate::FaultKind::UnrecoverableRead);
-        let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
+        let mut sys =
+            System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
         sys.set_workload_name("membound");
         let err = sys.try_warm_up(5_000).expect_err("fault armed");
         match &err {
@@ -1628,9 +1608,10 @@ mod tests {
             let cfg = SystemConfig::with_policy(PolicySpec::AlwaysHigh)
                 .with_error_rate(rate)
                 .with_error_seed(7);
-            let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
-            sys.warm_up(5_000);
-            sys.run(20_000)
+            let mut sys =
+                System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(20_000).expect("run")
         };
         let off = run(0.0);
         let on = run(0.5);
@@ -1644,8 +1625,9 @@ mod tests {
             .with_error_rate(0.02)
             .with_error_seed(11)
             .with_slo(Some(crate::SloSpec::new(0, 0)));
-        let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
-        sys.warm_up(5_000);
+        let mut sys =
+            System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
         let r = sys.try_run(20_000).expect("no escalation at this rate");
         assert!(
             r.read_retries > 0,
@@ -1665,8 +1647,9 @@ mod tests {
             .with_error_rate(0.02)
             .with_error_seed(11)
             .with_slo(Some(crate::SloSpec::new(1_000_000, 1_000)));
-        let mut sys_ok = System::new(cfg_ok, Generator::new(memory_bound_params()));
-        sys_ok.warm_up(5_000);
+        let mut sys_ok =
+            System::try_new(cfg_ok, Generator::new(memory_bound_params())).expect("valid config");
+        sys_ok.try_warm_up(5_000).expect("warm-up");
         let r_ok = sys_ok.try_run(20_000).expect("no escalation");
         assert!(r_ok.slo.expect("SLO configured").compliant);
         assert_eq!(sys_ok.window_metrics().get(CounterId::SloViolations), 0);
@@ -1687,12 +1670,13 @@ mod tests {
     #[test]
     fn results_are_deterministic() {
         let run = || {
-            let mut sys = System::new(
+            let mut sys = System::try_new(
                 SystemConfig::vsv_with_fsms(),
                 Generator::new(memory_bound_params()),
-            );
-            sys.warm_up(5_000);
-            sys.run(20_000)
+            )
+            .expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(20_000).expect("run")
         };
         let a = run();
         let b = run();
@@ -1705,9 +1689,10 @@ mod tests {
     fn traffic_completes_requests_under_light_load() {
         let spec = crate::TrafficSpec::poisson(0.05, 2_000).with_seed(3);
         let cfg = SystemConfig::baseline().with_traffic(Some(spec));
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-        sys.warm_up(5_000);
-        let r = sys.run(100_000);
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(100_000).expect("run");
         assert!(r.requests_arrived > 0, "arrivals expected over 100k insts");
         assert!(
             r.requests_completed > 0,
@@ -1729,9 +1714,10 @@ mod tests {
         // be dominated by queueing (p99 far above a lone service time).
         let spec = crate::TrafficSpec::poisson(2.0, 50_000).with_seed(3);
         let cfg = SystemConfig::baseline().with_traffic(Some(spec));
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-        sys.warm_up(5_000);
-        let r = sys.run(200_000);
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(200_000).expect("run");
         assert!(r.request_backlog > 0, "overload must leave a backlog: {r}");
         assert!(r.requests_arrived > r.requests_completed);
     }
@@ -1743,9 +1729,10 @@ mod tests {
         // counters are bit-identical with traffic on or off.
         let run = |traffic: Option<crate::TrafficSpec>| {
             let cfg = SystemConfig::vsv_with_fsms().with_traffic(traffic);
-            let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
-            sys.warm_up(5_000);
-            sys.run(20_000)
+            let mut sys =
+                System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(20_000).expect("run")
         };
         let off = run(None);
         let on = run(Some(crate::TrafficSpec::mmpp(
@@ -1769,9 +1756,10 @@ mod tests {
             let cfg = SystemConfig::vsv_with_fsms()
                 .with_traffic(Some(spec))
                 .with_fast_forward(ff);
-            let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
-            sys.warm_up(5_000);
-            sys.run(30_000)
+            let mut sys =
+                System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(30_000).expect("run")
         };
         let stepped = run(false);
         let fast = run(true);
@@ -1788,9 +1776,10 @@ mod tests {
             let cfg = SystemConfig::baseline()
                 .with_traffic(Some(spec))
                 .with_slo(Some(slo));
-            let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-            sys.warm_up(5_000);
-            sys.run(100_000)
+            let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+                .expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(100_000).expect("run")
         };
         let strict = run(crate::SloSpec::new(u64::MAX, u64::MAX).with_request_p99(1));
         let slo = strict.slo.expect("SLO configured");
@@ -1814,10 +1803,11 @@ mod trace_tests {
         p.far_fraction = 0.25;
         p.miss_dependency = 1.0;
         p.ilp_chains = 1;
-        let mut sys = System::new(SystemConfig::vsv_with_fsms(), Generator::new(p));
+        let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(p))
+            .expect("valid config");
         sys.enable_trace(50_000);
-        sys.warm_up(5_000);
-        let _ = sys.run(20_000);
+        sys.try_warm_up(5_000).expect("warm-up");
+        let _ = sys.try_run(20_000).expect("run");
         let trace = sys.take_trace().expect("tracing was on");
         assert!(!trace.is_empty());
         let modes: std::collections::HashSet<_> = trace.iter().map(|s| s.mode).collect();
@@ -1833,13 +1823,14 @@ mod trace_tests {
 
     #[test]
     fn trace_off_by_default_and_disablable() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
-        );
+        )
+        .expect("valid config");
         assert!(sys.trace().is_none());
         sys.enable_trace(128);
-        let _ = sys.run(1_000);
+        let _ = sys.try_run(1_000).expect("run");
         assert!(sys.trace().is_some());
         let t = sys.take_trace().expect("on");
         assert!(t.len() <= 128);

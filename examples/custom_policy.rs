@@ -32,11 +32,11 @@ fn main() {
     // maximum savings, the aggressive end of Figure 6's spectrum.
     let mut cfg = SystemConfig::vsv_with_fsms();
     cfg.vsv.up = UpPolicy::LastReturn;
-    let mut sys = System::new(cfg, stream);
+    let mut sys = System::try_new(cfg, stream).expect("valid config");
     sys.set_workload_name("figure-2-3-live");
 
     // Warm the caches for a few laps, then single-step and narrate.
-    sys.warm_up(2_000);
+    sys.try_warm_up(2_000).expect("warm-up");
     println!("mode trajectory around one miss epoch (1 line per mode change):\n");
     let mut last_mode = sys.controller().mode();
     let t0 = sys.now();

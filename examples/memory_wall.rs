@@ -36,8 +36,8 @@ fn main() {
         p.miss_dependency = 1.0;
         p.ilp_chains = 2;
 
-        let base = e.run(&p, SystemConfig::baseline());
-        let vsv_run = e.run(&p, SystemConfig::vsv_with_fsms());
+        let base = e.try_run(&p, SystemConfig::baseline()).expect("run");
+        let vsv_run = e.try_run(&p, SystemConfig::vsv_with_fsms()).expect("run");
         let cmp = Comparison::of(&base, &vsv_run);
         println!(
             "{:>9.3} | {:>6.2} {:>6.1} {:>6.0}% | {:>6.0}% {:>7.1}% {:>7.1}%",

@@ -56,8 +56,10 @@ fn main() {
         "running '{name}' ({} warm-up + {} measured instructions)...",
         e.warmup_instructions, e.instructions
     );
-    let base = e.run(&params, SystemConfig::baseline());
-    let vsv_run = e.run(&params, SystemConfig::vsv_with_fsms());
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
+    let vsv_run = e
+        .try_run(&params, SystemConfig::vsv_with_fsms())
+        .expect("run");
     let cmp = Comparison::of(&base, &vsv_run);
 
     println!("\n== baseline ==");

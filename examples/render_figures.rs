@@ -26,9 +26,13 @@ fn main() {
     let mut rows = Vec::new();
     for name in ["mcf", "ammp", "applu", "gzip"] {
         let params = twin(name).expect("twin exists");
-        let base = e.run(&params, SystemConfig::baseline());
-        let no_fsm = e.run(&params, SystemConfig::vsv_without_fsms());
-        let fsm = e.run(&params, SystemConfig::vsv_with_fsms());
+        let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
+        let no_fsm = e
+            .try_run(&params, SystemConfig::vsv_without_fsms())
+            .expect("run");
+        let fsm = e
+            .try_run(&params, SystemConfig::vsv_with_fsms())
+            .expect("run");
         rows.push((
             name,
             Comparison::of(&base, &no_fsm).power_saving_pct,
@@ -50,13 +54,14 @@ fn main() {
     println!("wrote {}", bar_path.display());
 
     // --- a Figure 2/3 timeline from a live trace ---
-    let mut sys = System::new(
+    let mut sys = System::try_new(
         SystemConfig::vsv_with_fsms(),
         Generator::new(twin("ammp").expect("twin exists")),
-    );
+    )
+    .expect("valid config");
     sys.enable_trace(600);
-    sys.warm_up(20_000);
-    let _ = sys.run(20_000);
+    sys.try_warm_up(20_000).expect("warm-up");
+    let _ = sys.try_run(20_000).expect("run");
     let trace = sys.take_trace().expect("tracing enabled");
     let tl_path = out_dir.join("timeline.svg");
     std::fs::write(&tl_path, TimelineChart::new(&trace).render()).expect("write svg");

@@ -22,7 +22,7 @@ fn main() {
         warmup_instructions: 50_000,
         instructions: 150_000,
     };
-    let base = e.run(&params, SystemConfig::baseline());
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
     println!(
         "threshold grid for '{name}' (baseline IPC {:.2}, MR {:.1})\n",
         base.ipc, base.mpki
@@ -91,7 +91,7 @@ fn main() {
             let mut cfg = SystemConfig::vsv_with_fsms();
             cfg.vsv.down = *down;
             cfg.vsv.up = *up;
-            let run = e.run(&params, cfg);
+            let run = e.try_run(&params, cfg).expect("run");
             let c = Comparison::of(&base, &run);
             print!(
                 " {:>6.1}w/{:>5.1}p",

@@ -18,7 +18,7 @@ fn baseline_mr_tracks_table2() {
     let e = quick();
     let refs = table2_reference();
     for (params, paper) in spec2k_twins().iter().zip(&refs) {
-        let r = e.run(params, SystemConfig::baseline());
+        let r = e.try_run(params, SystemConfig::baseline()).expect("run");
         if paper.mr_base >= 1.0 {
             let ratio = r.mpki / paper.mr_base;
             assert!(
@@ -44,7 +44,7 @@ fn baseline_ipc_is_in_band() {
     let e = quick();
     let refs = table2_reference();
     for (params, paper) in spec2k_twins().iter().zip(&refs) {
-        let r = e.run(params, SystemConfig::baseline());
+        let r = e.try_run(params, SystemConfig::baseline()).expect("run");
         let ratio = r.ipc / paper.ipc_base;
         assert!(
             (0.4..=2.5).contains(&ratio),
@@ -63,7 +63,7 @@ fn high_mr_classification_matches_paper() {
     let e = quick();
     let refs = table2_reference();
     for (params, paper) in spec2k_twins().iter().zip(&refs) {
-        let r = e.run(params, SystemConfig::baseline());
+        let r = e.try_run(params, SystemConfig::baseline()).expect("run");
         let paper_high = paper.mr_base > 4.0;
         let sim_high = r.mpki > 4.0;
         // Allow only benchmarks sitting right at the boundary to flip.
@@ -82,7 +82,7 @@ fn mcf_is_the_most_memory_bound() {
     let e = quick();
     let mut worst = ("", 0.0f64);
     for params in spec2k_twins() {
-        let r = e.run(&params, SystemConfig::baseline());
+        let r = e.try_run(&params, SystemConfig::baseline()).expect("run");
         if r.mpki > worst.1 {
             worst = (params.name, r.mpki);
         }

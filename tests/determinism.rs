@@ -11,7 +11,8 @@ fn run_once(name: &str, cfg: SystemConfig) -> RunResult {
         warmup_instructions: 20_000,
         instructions: 40_000,
     };
-    e.run(&twin(name).expect("twin exists"), cfg)
+    e.try_run(&twin(name).expect("twin exists"), cfg)
+        .expect("run")
 }
 
 fn assert_identical(a: &RunResult, b: &RunResult) {

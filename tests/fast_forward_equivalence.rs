@@ -22,14 +22,15 @@ fn run_one(
     cfg: SystemConfig,
     fast_forward: bool,
 ) -> (RunResult, ModeTrace) {
-    let mut sys = System::new(
+    let mut sys = System::try_new(
         cfg.with_fast_forward(fast_forward),
         vsv_workloads::Generator::new(params),
-    );
+    )
+    .expect("valid config");
     sys.set_workload_name(params.name);
     sys.enable_trace(TRACE_CAP);
-    sys.warm_up(WARMUP);
-    let result = sys.run(INSTS);
+    sys.try_warm_up(WARMUP).expect("warm-up");
+    let result = sys.try_run(INSTS).expect("run");
     let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }

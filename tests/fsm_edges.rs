@@ -325,11 +325,15 @@ fn depth_1_ladder_fsm_is_identical_to_always_high() {
     // System level: bit-identical results on a memory-bound twin.
     let params = twin("mcf").expect("twin exists");
     let e = Experiment::quick();
-    let ladder = e.run(
-        &params,
-        SystemConfig::with_policy(PolicySpec::LadderFsm).with_ladder_depth(1),
-    );
-    let high = e.run(&params, SystemConfig::with_policy(PolicySpec::AlwaysHigh));
+    let ladder = e
+        .try_run(
+            &params,
+            SystemConfig::with_policy(PolicySpec::LadderFsm).with_ladder_depth(1),
+        )
+        .expect("run");
+    let high = e
+        .try_run(&params, SystemConfig::with_policy(PolicySpec::AlwaysHigh))
+        .expect("run");
     assert_eq!(
         ladder.elapsed_ns, high.elapsed_ns,
         "depth-1 ladder changed the execution time"

@@ -36,7 +36,7 @@ fn ladder_depth_2() -> SystemConfig {
 }
 
 fn run(params: &WorkloadParams, cfg: SystemConfig) -> RunResult {
-    Experiment::quick().run(params, cfg)
+    Experiment::quick().try_run(params, cfg).expect("run")
 }
 
 /// Runs with mode tracing on and the given fast-forward setting.
@@ -46,11 +46,12 @@ fn run_traced(
     fast_forward: bool,
 ) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut sys = System::new(cfg.with_fast_forward(fast_forward), Generator::new(params));
+    let mut sys = System::try_new(cfg.with_fast_forward(fast_forward), Generator::new(params))
+        .expect("valid config");
     sys.set_workload_name(params.name);
     sys.enable_trace(TRACE_CAP);
-    sys.warm_up(e.warmup_instructions);
-    let result = sys.run(e.instructions);
+    sys.try_warm_up(e.warmup_instructions).expect("warm-up");
+    let result = sys.try_run(e.instructions).expect("run");
     let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }

@@ -40,11 +40,12 @@ fn policies() -> [SystemConfig; 3] {
 /// bit-identity claim is against the stepped path).
 fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut sys = System::new(cfg.with_fast_forward(false), Generator::new(params));
+    let mut sys = System::try_new(cfg.with_fast_forward(false), Generator::new(params))
+        .expect("valid config");
     sys.set_workload_name(params.name);
     sys.enable_trace(TRACE_CAP);
-    sys.warm_up(e.warmup_instructions);
-    let result = sys.run(e.instructions);
+    sys.try_warm_up(e.warmup_instructions).expect("warm-up");
+    let result = sys.try_run(e.instructions).expect("run");
     let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }
@@ -114,8 +115,10 @@ fn runner_with_cores_1_is_byte_identical() {
         for name in ["mcf", "gzip"] {
             let params = twin(name).expect("twin exists");
             let cfg = SystemConfig::vsv_with_fsms().with_fast_forward(fast_forward);
-            let before = Experiment::quick().run(&params, cfg);
-            let after = Experiment::quick().run(&params, cfg.with_cores(1));
+            let before = Experiment::quick().try_run(&params, cfg).expect("run");
+            let after = Experiment::quick()
+                .try_run(&params, cfg.with_cores(1))
+                .expect("run");
             assert_eq!(
                 before, after,
                 "cores = 1 changed the runner output on {name} (fast_forward = {fast_forward})"

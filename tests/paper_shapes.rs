@@ -19,11 +19,13 @@ fn quick() -> Experiment {
 fn memory_bound_twin_saves_power_with_small_degradation() {
     let e = quick();
     let params = twin("mcf").expect("mcf twin exists");
-    let (base, vsv_run, cmp) = e.compare(
-        &params,
-        SystemConfig::baseline(),
-        SystemConfig::vsv_with_fsms(),
-    );
+    let (base, vsv_run, cmp) = e
+        .compare(
+            &params,
+            SystemConfig::baseline(),
+            SystemConfig::vsv_with_fsms(),
+        )
+        .expect("runs");
     assert!(
         base.mpki > 40.0,
         "mcf twin is very memory bound: {}",
@@ -47,11 +49,13 @@ fn memory_bound_twin_saves_power_with_small_degradation() {
 fn compute_bound_twin_is_untouched() {
     let e = quick();
     let params = twin("crafty").expect("crafty twin exists");
-    let (base, _, cmp) = e.compare(
-        &params,
-        SystemConfig::baseline(),
-        SystemConfig::vsv_with_fsms(),
-    );
+    let (base, _, cmp) = e
+        .compare(
+            &params,
+            SystemConfig::baseline(),
+            SystemConfig::vsv_with_fsms(),
+        )
+        .expect("runs");
     assert!(base.mpki < 0.5, "crafty twin has ~no L2 misses");
     assert!(
         cmp.power_saving_pct.abs() < 1.0,
@@ -68,9 +72,13 @@ fn compute_bound_twin_is_untouched() {
 fn fsms_reduce_degradation_at_some_power_cost() {
     let e = quick();
     let params = twin("applu").expect("applu twin exists");
-    let base = e.run(&params, SystemConfig::baseline());
-    let no_fsm = e.run(&params, SystemConfig::vsv_without_fsms());
-    let fsm = e.run(&params, SystemConfig::vsv_with_fsms());
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
+    let no_fsm = e
+        .try_run(&params, SystemConfig::vsv_without_fsms())
+        .expect("run");
+    let fsm = e
+        .try_run(&params, SystemConfig::vsv_with_fsms())
+        .expect("run");
     let c_no = Comparison::of(&base, &no_fsm);
     let c_fsm = Comparison::of(&base, &fsm);
     assert!(
@@ -96,7 +104,7 @@ fn fsms_reduce_degradation_at_some_power_cost() {
 fn down_threshold_orders_power_and_performance() {
     let e = quick();
     let params = twin("ammp").expect("ammp twin exists");
-    let base = e.run(&params, SystemConfig::baseline());
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
     let mut results = Vec::new();
     for down in [
         DownPolicy::Immediate,
@@ -111,7 +119,7 @@ fn down_threshold_orders_power_and_performance() {
     ] {
         let mut cfg = SystemConfig::vsv_with_fsms();
         cfg.vsv.down = down;
-        let run = e.run(&params, cfg);
+        let run = e.try_run(&params, cfg).expect("run");
         results.push(Comparison::of(&base, &run));
     }
     // Power: immediate >= t3 >= t5 (small tolerance for noise).
@@ -132,7 +140,7 @@ fn down_threshold_orders_power_and_performance() {
 fn up_policy_spectrum_first_monitor_last() {
     let e = quick();
     let params = twin("ammp").expect("ammp twin exists");
-    let base = e.run(&params, SystemConfig::baseline());
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
     let mut res = Vec::new();
     for up in [
         UpPolicy::FirstReturn,
@@ -144,7 +152,7 @@ fn up_policy_spectrum_first_monitor_last() {
     ] {
         let mut cfg = SystemConfig::vsv_with_fsms();
         cfg.vsv.up = up;
-        let run = e.run(&params, cfg);
+        let run = e.try_run(&params, cfg).expect("run");
         res.push(Comparison::of(&base, &run));
     }
     let (first, monitor, last) = (res[0], res[1], res[2]);
@@ -173,20 +181,26 @@ fn timekeeping_shrinks_but_does_not_remove_savings() {
         instructions: 200_000,
     };
     let params = twin("applu").expect("applu twin exists");
-    let base = e.run(&params, SystemConfig::baseline());
-    let base_tk = e.run(&params, SystemConfig::baseline().with_timekeeping(true));
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
+    let base_tk = e
+        .try_run(&params, SystemConfig::baseline().with_timekeeping(true))
+        .expect("run");
     assert!(
         base_tk.mpki < base.mpki * 0.7,
         "TK must cut applu's demand MR: {:.1} -> {:.1}",
         base.mpki,
         base_tk.mpki
     );
-    let vsv_tk = e.run(
-        &params,
-        SystemConfig::vsv_with_fsms().with_timekeeping(true),
-    );
+    let vsv_tk = e
+        .try_run(
+            &params,
+            SystemConfig::vsv_with_fsms().with_timekeeping(true),
+        )
+        .expect("run");
     let cmp_tk = Comparison::of(&base_tk, &vsv_tk);
-    let vsv_plain = e.run(&params, SystemConfig::vsv_with_fsms());
+    let vsv_plain = e
+        .try_run(&params, SystemConfig::vsv_with_fsms())
+        .expect("run");
     let cmp_plain = Comparison::of(&base, &vsv_plain);
     assert!(
         cmp_tk.power_saving_pct < cmp_plain.power_saving_pct,
@@ -207,8 +221,10 @@ fn timekeeping_shrinks_but_does_not_remove_savings() {
 fn timekeeping_does_not_help_random_twin() {
     let e = quick();
     let params = twin("art").expect("art twin exists");
-    let base = e.run(&params, SystemConfig::baseline());
-    let base_tk = e.run(&params, SystemConfig::baseline().with_timekeeping(true));
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
+    let base_tk = e
+        .try_run(&params, SystemConfig::baseline().with_timekeeping(true))
+        .expect("run");
     assert!(
         base_tk.mpki > base.mpki * 0.9,
         "TK cannot learn random misses: {:.1} vs {:.1}",
@@ -228,7 +244,7 @@ fn prefetch_only_misses_do_not_engage_vsv() {
     let mut p = WorkloadParams::compute_bound("prefetch-only");
     p.far_fraction = 0.0;
     p.sw_prefetch_coverage = 0.0;
-    let run = e.run(&p, SystemConfig::vsv_with_fsms());
+    let run = e.try_run(&p, SystemConfig::vsv_with_fsms()).expect("run");
     assert!(
         run.mode.down_transitions <= 2,
         "no demand misses → (almost) no transitions, got {}",
@@ -242,14 +258,16 @@ fn prefetch_only_misses_do_not_engage_vsv() {
 fn low_mode_halves_the_clock() {
     let e = quick();
     let params = twin("mcf").expect("mcf twin exists");
-    let run = e.run(&params, SystemConfig::vsv_with_fsms());
+    let run = e
+        .try_run(&params, SystemConfig::vsv_with_fsms())
+        .expect("run");
     assert!(
         run.pipeline_cycles < run.elapsed_ns,
         "half-speed epochs must reduce edge count: {} vs {}",
         run.pipeline_cycles,
         run.elapsed_ns
     );
-    let base = e.run(&params, SystemConfig::baseline());
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
     assert_eq!(
         base.pipeline_cycles, base.elapsed_ns,
         "baseline is full speed"
@@ -263,8 +281,10 @@ fn low_mode_halves_the_clock() {
 fn energy_accounting_is_consistent() {
     let e = quick();
     let params = twin("ammp").expect("ammp twin exists");
-    let base = e.run(&params, SystemConfig::baseline());
-    let vsv_run = e.run(&params, SystemConfig::vsv_with_fsms());
+    let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
+    let vsv_run = e
+        .try_run(&params, SystemConfig::vsv_with_fsms())
+        .expect("run");
     assert!(vsv_run.energy_pj > 0.0 && base.energy_pj > 0.0);
     assert!(vsv_run.avg_power_w < base.avg_power_w);
     // Energy should not fall faster than power (time grew).
@@ -279,7 +299,7 @@ fn energy_accounting_is_consistent() {
 fn issue_histogram_is_consistent_with_counters() {
     let e = quick();
     let params = twin("ammp").expect("ammp exists");
-    let r = e.run(&params, SystemConfig::baseline());
+    let r = e.try_run(&params, SystemConfig::baseline()).expect("run");
     let h = r.issue_histogram;
     assert_eq!(h.cycles(), r.pipeline_cycles, "every cycle is bucketed");
     assert_eq!(
@@ -308,10 +328,11 @@ fn trace_renders_to_timeline_svg() {
     use vsv_workloads::Generator;
 
     let params = twin("ammp").expect("ammp exists");
-    let mut sys = System::new(SystemConfig::vsv_with_fsms(), Generator::new(params));
+    let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))
+        .expect("valid config");
     sys.enable_trace(3_000);
-    sys.warm_up(20_000);
-    let _ = sys.run(20_000);
+    sys.try_warm_up(20_000).expect("warm-up");
+    let _ = sys.try_run(20_000).expect("run");
     let trace = sys.take_trace().expect("tracing on");
     let modes: std::collections::HashSet<Mode> = trace.iter().map(|s| s.mode).collect();
     for m in [Mode::High, Mode::DownDistribute, Mode::RampDown, Mode::Low] {

@@ -5,8 +5,10 @@
 //!   `SystemConfig::vsv_with_fsms()` constructor (whose behaviour is
 //!   itself pinned by the golden/determinism suites, unchanged by the
 //!   policy refactor).
-//! * `PolicySpec::ImmediateDown` reproduces the FSM-free controller
-//!   (`vsv_without_fsms`) exactly, through an independent code path.
+//! * `PolicySpec::ImmediateDown` (which `vsv_without_fsms` selects)
+//!   reproduces the FSM-free controller exactly: the `dual-fsm` policy
+//!   with its monitors swapped for [`DownPolicy::Immediate`] /
+//!   [`UpPolicy::FirstReturn`].
 //! * Every built-in policy is fast-forward-exact: quiescent-stall
 //!   skipping changes nothing, per nanosecond.
 //! * `AlwaysHigh` never transitions, so its slowdown is exactly zero.
@@ -17,7 +19,10 @@
 //!   ramp energy plus the level-converter tax on a still-busy
 //!   pipeline).
 
-use vsv::{Comparison, Experiment, ModeTrace, PolicySpec, RunResult, System, SystemConfig};
+use vsv::{
+    Comparison, DownPolicy, Experiment, ModeTrace, PolicySpec, RunResult, System, SystemConfig,
+    UpPolicy,
+};
 use vsv_workloads::{twin, AccessPattern, Generator, WorkloadParams};
 
 const TRACE_CAP: usize = 1 << 16;
@@ -46,7 +51,7 @@ fn ilp_covered_misses() -> WorkloadParams {
 }
 
 fn run(params: &WorkloadParams, cfg: SystemConfig) -> RunResult {
-    Experiment::quick().run(params, cfg)
+    Experiment::quick().try_run(params, cfg).expect("run")
 }
 
 /// Runs with tracing on and the given fast-forward setting.
@@ -56,11 +61,12 @@ fn run_traced(
     fast_forward: bool,
 ) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut sys = System::new(cfg.with_fast_forward(fast_forward), Generator::new(params));
+    let mut sys = System::try_new(cfg.with_fast_forward(fast_forward), Generator::new(params))
+        .expect("valid config");
     sys.set_workload_name(params.name);
     sys.enable_trace(TRACE_CAP);
-    sys.warm_up(e.warmup_instructions);
-    let result = sys.run(e.instructions);
+    sys.try_warm_up(e.warmup_instructions).expect("warm-up");
+    let result = sys.try_run(e.instructions).expect("run");
     let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }
@@ -87,16 +93,16 @@ fn dual_fsm_policy_is_bit_identical_to_the_legacy_constructor() {
 /// `ImmediateDown` reproduces the FSM-free controller exactly.
 #[test]
 fn immediate_down_policy_matches_the_fsm_free_controller() {
+    let mut fsm_free = SystemConfig::vsv_with_fsms();
+    fsm_free.vsv.down = DownPolicy::Immediate;
+    fsm_free.vsv.up = UpPolicy::FirstReturn;
     for name in TWIN_MIX {
         let params = twin(name).expect("twin exists");
-        let legacy = run(&params, SystemConfig::vsv_without_fsms());
-        let policy = run(
-            &params,
-            SystemConfig::with_policy(PolicySpec::ImmediateDown),
-        );
+        let legacy = run(&params, fsm_free);
+        let policy = run(&params, SystemConfig::vsv_without_fsms());
         assert_eq!(
             legacy, policy,
-            "ImmediateDown diverged from vsv_without_fsms on {name}"
+            "ImmediateDown diverged from the FSM-free dual-fsm on {name}"
         );
     }
 }

@@ -53,11 +53,13 @@ fn run_results_serialize_for_downstream_tooling() {
         instructions: 10_000,
     };
     let params = twin("gzip").expect("twin exists");
-    let (base, vsv_run, cmp) = e.compare(
-        &params,
-        SystemConfig::baseline(),
-        SystemConfig::vsv_with_fsms(),
-    );
+    let (base, vsv_run, cmp) = e
+        .compare(
+            &params,
+            SystemConfig::baseline(),
+            SystemConfig::vsv_with_fsms(),
+        )
+        .expect("runs");
     let json = serde_json::to_string(&vsv_run).expect("RunResult serializes");
     assert!(json.contains("avg_power_w"));
     let cmp_json = serde_json::to_string(&cmp).expect("Comparison serializes");

@@ -1,6 +1,6 @@
 //! Serial/parallel equivalence for the sweep engine: a [`Sweep`] with
 //! one worker, a sweep with many workers, and a plain serial loop over
-//! [`Experiment::run`] must produce bit-identical results, in the same
+//! [`Experiment::try_run`] must produce bit-identical results, in the same
 //! (grid) order, regardless of how the scheduler interleaves jobs.
 //! This is the determinism guarantee DESIGN.md documents for the
 //! engine; the field list matches `tests/determinism.rs`.
@@ -49,7 +49,7 @@ fn one_worker_matches_serial_loop() {
     let mut serial = Vec::new();
     for p in &twins {
         for c in &configs {
-            serial.push(e.run(p, *c));
+            serial.push(e.try_run(p, *c).expect("run"));
         }
     }
     let swept = Sweep::over_grid(e, &twins, &configs).run(1);

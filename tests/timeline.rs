@@ -42,8 +42,8 @@ fn trajectory(
 fn down_transition_walks_distribute_then_ramp_then_low() {
     let mut cfg = SystemConfig::vsv_with_fsms();
     cfg.vsv.up = UpPolicy::LastReturn;
-    let mut sys = System::new(cfg, lonely_miss_stream());
-    sys.warm_up(1_000);
+    let mut sys = System::try_new(cfg, lonely_miss_stream()).expect("valid config");
+    sys.try_warm_up(1_000).expect("warm-up");
     let traj = trajectory(&mut sys, 2_000);
 
     // Find a High → DownDistribute → RampDown → Low run.
@@ -70,8 +70,8 @@ fn down_transition_walks_distribute_then_ramp_then_low() {
 fn up_transition_walks_distribute_then_ramp_then_high() {
     let mut cfg = SystemConfig::vsv_with_fsms();
     cfg.vsv.up = UpPolicy::LastReturn;
-    let mut sys = System::new(cfg, lonely_miss_stream());
-    sys.warm_up(1_000);
+    let mut sys = System::try_new(cfg, lonely_miss_stream()).expect("valid config");
+    sys.try_warm_up(1_000).expect("warm-up");
     let traj = trajectory(&mut sys, 2_000);
 
     let modes: Vec<Mode> = traj.iter().map(|(_, m)| *m).collect();
@@ -98,8 +98,8 @@ fn up_transition_walks_distribute_then_ramp_then_high() {
 fn miss_epochs_recur_every_lap() {
     let mut cfg = SystemConfig::vsv_with_fsms();
     cfg.vsv.up = UpPolicy::LastReturn;
-    let mut sys = System::new(cfg, lonely_miss_stream());
-    sys.warm_up(1_000);
+    let mut sys = System::try_new(cfg, lonely_miss_stream()).expect("valid config");
+    sys.try_warm_up(1_000).expect("warm-up");
     let traj = trajectory(&mut sys, 4_000);
     let lows = traj.iter().filter(|(_, m)| *m == Mode::Low).count();
     assert!(lows >= 3, "expected repeated low-power epochs, got {lows}");
