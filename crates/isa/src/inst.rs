@@ -94,7 +94,7 @@ pub struct BranchInfo {
 /// The record is packed into 24 bytes, because the fetch queue, the
 /// window and the stream hand it around by value every cycle: one
 /// payload word holds the memory address (memory ops) or the branch
-/// target (branches), registers are single bytes with [`NO_REG`] for
+/// target (branches), registers are single bytes with `NO_REG` for
 /// "none", and a flag byte holds the branch kind and direction. The
 /// accessors and `Debug` present the logical fields.
 ///

@@ -4,10 +4,10 @@
 //! [`System`] — one core plus its private hierarchy slice — into a
 //! replicated unit behind an arbitrated shared uncore
 //! ([`vsv_mem::SharedFabric`]: one L2, one bus, one DRAM, one L2-MSHR
-//! slot pool). Every core keeps its **own** [`VsvController`] and
-//! policy instance, so each is an independent voltage domain: core 0
-//! can sit at VDDL riding out a miss storm while core 1 runs flat out
-//! at VDDH.
+//! slot pool). Every core keeps its **own**
+//! [`VsvController`](crate::VsvController) and policy instance, so
+//! each is an independent voltage domain: core 0 can sit at VDDL
+//! riding out a miss storm while core 1 runs flat out at VDDH.
 //!
 //! # Lockstep determinism
 //!
