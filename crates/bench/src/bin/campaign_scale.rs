@@ -8,10 +8,13 @@
 //!
 //! 1. **Fleet wall-clock**: a memory-bound grid (high-MR twins × a
 //!    down-FSM threshold axis) partitioned into K ∈ {1, 2, 4} shards,
-//!    each run as a single-worker `campaign run` process; records
-//!    wall-clock per K and the speedup over K=1. The K=1 and K=4
-//!    merged reports must be byte-identical (wall-clock zeroed) — the
-//!    run exits nonzero otherwise.
+//!    each run as a `campaign run` process whose sweep gets
+//!    `VSV_WORKERS = max(1, host CPUs / K)` workers, so every K uses
+//!    the same host CPUs rather than K times as many threads; records
+//!    wall-clock, workers per shard and the shard processes' CPU
+//!    seconds per K, and the speedup over K=1. The K=1 and K=4 merged
+//!    reports must be byte-identical (wall-clock zeroed) — the run
+//!    exits nonzero otherwise.
 //! 2. **Merge memory**: a replicated-cell stress grid (default 1500
 //!    cells; `VSV_CAMPAIGN_STRESS_CELLS` overrides) merged by the
 //!    streaming path and by a deliberately buffered path
@@ -41,7 +44,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use vsv::{
-    Campaign, DownPolicy, Experiment, MergeOptions, Sweep, SweepJob, SystemConfig, UpPolicy,
+    resolve_workers, Campaign, DownPolicy, Experiment, MergeOptions, Sweep, SweepJob, SystemConfig,
+    UpPolicy,
 };
 use vsv_bench::{experiment_from_env, rule};
 use vsv_workloads::{high_mr_names, twin};
@@ -99,6 +103,36 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
+/// CPU time (user + system) of this process's reaped children, in
+/// clock ticks: `cutime` + `cstime` from `/proc/self/stat`. Returns 0
+/// where procfs is unavailable.
+fn children_cpu_ticks() -> u64 {
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+        return 0;
+    };
+    // Fields after the parenthesised command name start at field 3
+    // (`state`); `cutime` and `cstime` are fields 16 and 17.
+    let Some((_, rest)) = stat.rsplit_once(')') else {
+        return 0;
+    };
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let ticks = |field: usize| {
+        fields
+            .get(field - 3)
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(0)
+    };
+    ticks(16) + ticks(17)
+}
+
+/// Clock ticks per second in `/proc` CPU times (Linux's fixed `USER_HZ`).
+const USER_HZ: f64 = 100.0;
+
+/// The host's available parallelism (1 if unknown).
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
@@ -128,15 +162,15 @@ fn zero_wall(json: &str) -> String {
 
 // ---------------------------------------------------------------- roles
 
-/// Child role: run one shard of the fleet grid as a single-worker
-/// checkpointed sweep (the `campaign run` path).
+/// Child role: run one shard of the fleet grid as a checkpointed sweep
+/// on `VSV_WORKERS` workers (the `campaign run` path).
 fn role_shard(e: Experiment) {
     let shard = env_usize("VSV_CAMPAIGN_SHARD", 0);
     let shards = env_usize("VSV_CAMPAIGN_SHARDS", 1);
     let out = PathBuf::from(std::env::var("VSV_CAMPAIGN_OUT").expect("shard role needs OUT"));
     let campaign = Campaign::new(fleet_sweep(e), shards).expect("valid shard count");
     let report = campaign
-        .run_shard(shard, 1, &out, true)
+        .run_shard(shard, resolve_workers(0), &out, true)
         .unwrap_or_else(|err| panic!("shard {shard}/{shards} failed: {err}"));
     assert_eq!(report.failed_jobs(), 0, "fleet grid has no faulty cells");
 }
@@ -221,8 +255,13 @@ fn run_child(envs: &[(&str, String)]) -> String {
 struct FleetPoint {
     /// Shard processes run in parallel.
     processes: usize,
+    /// Sweep workers in each shard process: `max(1, host_cpus / K)`,
+    /// passed as `VSV_WORKERS`.
+    workers_per_shard: usize,
     /// Wall-clock of the slowest shard wave (spawn → last exit), ms.
     shards_wall_ms: f64,
+    /// CPU seconds (user + system) the K shard processes used together.
+    shards_core_s: f64,
     /// `shards_wall_ms(K=1) / shards_wall_ms(K)`.
     speedup_vs_1: f64,
     /// Streaming merge of the K shard files, ms (child-measured).
@@ -249,6 +288,8 @@ struct MergeRss {
 struct Report {
     /// Fleet-grid cells.
     grid_cells: usize,
+    /// The host's available parallelism, which the shard workers split.
+    host_cpus: usize,
     /// Measured instructions per cell.
     instructions_per_run: u64,
     /// Warm-up instructions per cell.
@@ -277,6 +318,8 @@ fn fleet_point(k: usize, dir: &Path) -> (FleetPoint, PathBuf) {
     let shard_paths: Vec<PathBuf> = (0..k)
         .map(|s| dir.join(format!("fleet-k{k}-shard{s}.jsonl")))
         .collect();
+    let workers_per_shard = (host_cpus() / k).max(1);
+    let ticks_before = children_cpu_ticks();
     let start = Instant::now();
     let children: Vec<_> = (0..k)
         .map(|s| {
@@ -285,7 +328,8 @@ fn fleet_point(k: usize, dir: &Path) -> (FleetPoint, PathBuf) {
             cmd.env("VSV_CAMPAIGN_ROLE", "shard")
                 .env("VSV_CAMPAIGN_SHARD", s.to_string())
                 .env("VSV_CAMPAIGN_SHARDS", k.to_string())
-                .env("VSV_CAMPAIGN_OUT", &shard_paths[s]);
+                .env("VSV_CAMPAIGN_OUT", &shard_paths[s])
+                .env("VSV_WORKERS", workers_per_shard.to_string());
             cmd.spawn().expect("shard child spawns")
         })
         .collect();
@@ -294,6 +338,7 @@ fn fleet_point(k: usize, dir: &Path) -> (FleetPoint, PathBuf) {
         assert!(status.success(), "shard {s}/{k} exited {status}");
     }
     let shards_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let shards_core_s = children_cpu_ticks().saturating_sub(ticks_before) as f64 / USER_HZ;
 
     let merged = dir.join(format!("fleet-k{k}-merged.json"));
     let inputs = shard_paths
@@ -312,7 +357,9 @@ fn fleet_point(k: usize, dir: &Path) -> (FleetPoint, PathBuf) {
     assert_eq!(child_value(&stdout, "failed") as u64, 0);
     let point = FleetPoint {
         processes: k,
+        workers_per_shard,
         shards_wall_ms,
+        shards_core_s,
         speedup_vs_1: 0.0, // filled in once K=1 is known
         merge_wall_ms: child_value(&stdout, "merge_wall_ms"),
         merge_peak_rss_kb: child_value(&stdout, "peak_rss_kb") as u64,
@@ -395,10 +442,10 @@ fn main() {
         e.instructions
     );
     println!(
-        "{:<6} | {:>14} {:>8} | {:>12} {:>12}",
-        "shards", "shards wall ms", "speedup", "merge ms", "merge kB"
+        "{:<6} {:>7} | {:>14} {:>8} {:>7} | {:>12} {:>12}",
+        "shards", "workers", "shards wall ms", "core s", "speedup", "merge ms", "merge kB"
     );
-    rule(62);
+    rule(80);
 
     let mut fleet = Vec::new();
     let mut merged_paths = Vec::new();
@@ -411,8 +458,14 @@ fn main() {
     for p in &mut fleet {
         p.speedup_vs_1 = base_wall / p.shards_wall_ms;
         println!(
-            "{:<6} | {:>14.1} {:>7.2}x | {:>12.3} {:>12}",
-            p.processes, p.shards_wall_ms, p.speedup_vs_1, p.merge_wall_ms, p.merge_peak_rss_kb
+            "{:<6} {:>7} | {:>14.1} {:>8.2} {:>6.2}x | {:>12.3} {:>12}",
+            p.processes,
+            p.workers_per_shard,
+            p.shards_wall_ms,
+            p.shards_core_s,
+            p.speedup_vs_1,
+            p.merge_wall_ms,
+            p.merge_peak_rss_kb
         );
     }
 
@@ -436,7 +489,7 @@ fn main() {
     };
     let streaming_rss_growth = rss("streaming", stress_cells) / rss("streaming", 10);
     let buffered_rss_growth = rss("buffered", stress_cells) / rss("buffered", 10);
-    rule(62);
+    rule(80);
     for m in &merge_rss {
         println!(
             "merge {:<9} {:>6} cells: {:>8} kB peak, {:>10.3} ms",
@@ -450,6 +503,7 @@ fn main() {
 
     let report = Report {
         grid_cells,
+        host_cpus: host_cpus(),
         instructions_per_run: e.instructions,
         warmup_per_run: e.warmup_instructions,
         fleet,

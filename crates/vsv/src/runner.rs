@@ -164,6 +164,8 @@ impl Experiment {
     /// (one serialized [`TraceEvent`] per line, starting with
     /// `header` if given). The byte stream is deterministic: the same
     /// `params`/`cfg`/`header` produce identical bytes on every run.
+    /// The returned buffer's capacity equals its length, so a sweep
+    /// holding one trace per cell holds only the trace bytes.
     ///
     /// # Errors
     ///
@@ -178,11 +180,31 @@ impl Experiment {
         level: TraceLevel,
         header: Option<TraceEvent>,
     ) -> Result<(RunResult, MetricsRegistry, Vec<u8>), SimError> {
-        let buf = crate::trace::SharedBuf::default();
+        self.try_run_traced_reusing(params, cfg, level, header, &mut Vec::new())
+    }
+
+    /// [`Experiment::try_run_traced`] growing the trace in `scratch`
+    /// and returning an exact-size copy of it. `scratch` comes back
+    /// empty with its capacity kept, so a sweep worker that hands the
+    /// same buffer to every job grows it once, to its largest trace.
+    #[cfg(feature = "serde")]
+    pub(crate) fn try_run_traced_reusing(
+        &self,
+        params: &WorkloadParams,
+        cfg: SystemConfig,
+        level: TraceLevel,
+        header: Option<TraceEvent>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(RunResult, MetricsRegistry, Vec<u8>), SimError> {
+        let buf = crate::trace::SharedBuf::with_buffer(std::mem::take(scratch));
         let sink = crate::trace::JsonlSink::new(buf.clone());
-        let (result, metrics) =
-            self.try_run_instrumented(params, cfg, Some((level, Box::new(sink), header)))?;
-        Ok((result, metrics, buf.take()))
+        let run = self.try_run_instrumented(params, cfg, Some((level, Box::new(sink), header)));
+        let mut grown = buf.take();
+        let bytes = grown.to_vec();
+        grown.clear();
+        *scratch = grown;
+        let (result, metrics) = run?;
+        Ok((result, metrics, bytes))
     }
 
     /// Runs a (baseline, variant) pair over the same workload and

@@ -567,39 +567,45 @@ impl Sweep {
         let trace_slots: Vec<Mutex<&mut Vec<u8>>> = traces.iter_mut().map(Mutex::new).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = self.jobs.get(i) else { break };
-                    if done[i] {
-                        continue;
-                    }
-                    let job_start = Instant::now();
-                    let (outcome, metrics, trace_bytes, _) =
-                        execute_job(&self.experiment, job, i, trace);
-                    let record = JobRecord {
-                        job: i,
-                        workload: job.params.name.to_owned(),
-                        config_digest: config_digest(&job.config),
-                        policy: job.config.policy_name().to_owned(),
-                        ladder: job.config.vsv.ladder.depth(),
-                        cores: job.config.cores,
-                        slo: outcome.result().and_then(|r| r.slo),
-                        outcome,
-                        metrics,
-                        wall_ns: u64::try_from(job_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    };
-                    on_record(&record);
-                    match slots[i].lock() {
-                        Ok(mut slot) => **slot = Some(record),
-                        // A slot mutex can only be poisoned by a panic
-                        // in on_record; the record is still ours to
-                        // write.
-                        Err(poisoned) => **poisoned.into_inner() = Some(record),
-                    }
-                    if !trace_bytes.is_empty() {
-                        match trace_slots[i].lock() {
-                            Ok(mut slot) => **slot = trace_bytes,
-                            Err(poisoned) => **poisoned.into_inner() = trace_bytes,
+                scope.spawn(|| {
+                    // The worker's trace growth buffer: each job's
+                    // trace grows here and leaves as an exact-size copy.
+                    let mut scratch = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = self.jobs.get(i) else { break };
+                        if done[i] {
+                            continue;
+                        }
+                        let job_start = Instant::now();
+                        let (outcome, metrics, trace_bytes, _) =
+                            execute_job(&self.experiment, job, i, trace, &mut scratch);
+                        let record = JobRecord {
+                            job: i,
+                            workload: job.params.name.to_owned(),
+                            config_digest: config_digest(&job.config),
+                            policy: job.config.policy_name().to_owned(),
+                            ladder: job.config.vsv.ladder.depth(),
+                            cores: job.config.cores,
+                            slo: outcome.result().and_then(|r| r.slo),
+                            outcome,
+                            metrics,
+                            wall_ns: u64::try_from(job_start.elapsed().as_nanos())
+                                .unwrap_or(u64::MAX),
+                        };
+                        on_record(&record);
+                        match slots[i].lock() {
+                            Ok(mut slot) => **slot = Some(record),
+                            // A slot mutex can only be poisoned by a panic
+                            // in on_record; the record is still ours to
+                            // write.
+                            Err(poisoned) => **poisoned.into_inner() = Some(record),
+                        }
+                        if !trace_bytes.is_empty() {
+                            match trace_slots[i].lock() {
+                                Ok(mut slot) => **slot = trace_bytes,
+                                Err(poisoned) => **poisoned.into_inner() = trace_bytes,
+                            }
                         }
                     }
                 });
@@ -642,9 +648,10 @@ fn execute_job(
     job: &SweepJob,
     index: usize,
     trace: Option<TraceLevel>,
+    scratch: &mut Vec<u8>,
 ) -> (JobOutcome, MetricsRegistry, Vec<u8>, u32) {
     #[cfg(not(feature = "serde"))]
-    let _ = (index, trace);
+    let _ = (index, trace, scratch);
     const MAX_ATTEMPTS: u32 = 2;
     let mut attempts = 0;
     loop {
@@ -660,7 +667,13 @@ fn execute_job(
                     policy: job.config.policy_name().to_owned(),
                     config_digest: config_digest(&job.config),
                 };
-                return experiment.try_run_traced(&job.params, job.config, level, Some(header));
+                return experiment.try_run_traced_reusing(
+                    &job.params,
+                    job.config,
+                    level,
+                    Some(header),
+                    scratch,
+                );
             }
             experiment
                 .try_run_with_metrics(&job.params, job.config)

@@ -451,6 +451,12 @@ impl TraceSink for CaptureSink {
 pub struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
 impl SharedBuf {
+    /// A buffer that appends to `bytes` (reusing its capacity).
+    #[cfg(feature = "serde")]
+    pub(crate) fn with_buffer(bytes: Vec<u8>) -> Self {
+        SharedBuf(std::sync::Arc::new(std::sync::Mutex::new(bytes)))
+    }
+
     /// Takes the accumulated bytes, leaving the buffer empty.
     #[must_use]
     pub fn take(&self) -> Vec<u8> {
@@ -494,13 +500,20 @@ impl std::io::Write for SharedBuf {
 /// serialization is deterministic, so for a fixed configuration the
 /// emitted bytes are identical across runs and worker counts.
 ///
-/// Write or serialization failures are latched into
-/// [`JsonlSink::error`] instead of panicking (the simulator must not
-/// die because a trace disk filled up); subsequent events are
-/// dropped.
+/// Each event is encoded straight into a line buffer the sink reuses
+/// and handed to the writer in one `write_all`: no intermediate value
+/// tree and no per-event allocation. The bytes equal
+/// `serde_json::to_string(event)` plus `"\n"` for every event
+/// (`tests/trace_encoding.rs` pins this variant by variant), so
+/// consumers parse lines back with the serde derive.
+///
+/// Write failures are latched into [`JsonlSink::error`] instead of
+/// panicking (the simulator must not die because a trace disk filled
+/// up); subsequent events are dropped.
 #[cfg(feature = "serde")]
 pub struct JsonlSink<W: std::io::Write + Send> {
     writer: W,
+    line: Vec<u8>,
     error: Option<String>,
 }
 
@@ -511,11 +524,12 @@ impl<W: std::io::Write + Send> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
+            line: Vec::new(),
             error: None,
         }
     }
 
-    /// The first write/serialization error, if any occurred.
+    /// The first write error, if any occurred.
     #[must_use]
     pub fn error(&self) -> Option<&str> {
         self.error.as_deref()
@@ -537,13 +551,10 @@ impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        match serde_json::to_string(event) {
-            Ok(json) => {
-                if let Err(e) = writeln!(self.writer, "{json}") {
-                    self.error = Some(e.to_string());
-                }
-            }
-            Err(e) => self.error = Some(e.to_string()),
+        self.line.clear();
+        encode_line(event, &mut self.line);
+        if let Err(e) = self.writer.write_all(&self.line) {
+            self.error = Some(e.to_string());
         }
     }
 
@@ -553,6 +564,232 @@ impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
                 self.error = Some(e.to_string());
             }
         }
+    }
+}
+
+/// Appends `event` as one JSONL line: the externally tagged object the
+/// serde derive produces (`{"Kind":{"field":value,...}}`, fields in
+/// declaration order, unit enums as their variant name), then `\n`.
+#[cfg(feature = "serde")]
+fn encode_line(event: &TraceEvent, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"");
+    out.extend_from_slice(event.kind().as_bytes());
+    out.extend_from_slice(b"\":{");
+    let mut obj = JsonObject { out, first: true };
+    match event {
+        TraceEvent::JobStart {
+            job,
+            workload,
+            policy,
+            config_digest,
+        } => {
+            obj.u64("job", *job);
+            obj.str("workload", workload);
+            obj.str("policy", policy);
+            obj.str("config_digest", config_digest);
+        }
+        TraceEvent::CoreStart { core } => obj.u64("core", *core),
+        TraceEvent::ModeEntered { at, mode, vdd_mv } => {
+            obj.u64("at", *at);
+            obj.str("mode", mode_name(*mode));
+            obj.u64("vdd_mv", u64::from(*vdd_mv));
+        }
+        TraceEvent::FsmArmed { at, fsm }
+        | TraceEvent::FsmFired { at, fsm }
+        | TraceEvent::FsmExpired { at, fsm } => {
+            obj.u64("at", *at);
+            obj.str("fsm", fsm_name(*fsm));
+        }
+        TraceEvent::MissDetected {
+            at,
+            demand,
+            earliest_return,
+        } => {
+            obj.u64("at", *at);
+            obj.bool("demand", *demand);
+            obj.key("earliest_return");
+            match earliest_return {
+                Some(ns) => push_u64(obj.out, *ns),
+                None => obj.out.extend_from_slice(b"null"),
+            }
+        }
+        TraceEvent::MissReturned {
+            at,
+            demand,
+            outstanding_demand,
+        } => {
+            obj.u64("at", *at);
+            obj.bool("demand", *demand);
+            obj.u64("outstanding_demand", *outstanding_demand);
+        }
+        TraceEvent::FastForward { from, to, edges } => {
+            obj.u64("from", *from);
+            obj.u64("to", *to);
+            obj.u64("edges", *edges);
+        }
+        TraceEvent::WindowClosed {
+            at,
+            instructions,
+            issue_buckets,
+        } => {
+            obj.u64("at", *at);
+            obj.u64("instructions", *instructions);
+            obj.key("issue_buckets");
+            let mut sep = b'[';
+            for &n in issue_buckets {
+                obj.out.push(sep);
+                sep = b',';
+                push_u64(obj.out, n);
+            }
+            obj.out.push(b']');
+        }
+        TraceEvent::ReadError { at, attempt } => {
+            obj.u64("at", *at);
+            obj.u64("attempt", u64::from(*attempt));
+        }
+        TraceEvent::RetryExhausted { at, retries } => {
+            obj.u64("at", *at);
+            obj.u64("retries", u64::from(*retries));
+        }
+        TraceEvent::BackoffEngaged { at } | TraceEvent::BurstStart { at } => obj.u64("at", *at),
+        TraceEvent::RequestArrived { at, queued } => {
+            obj.u64("at", *at);
+            obj.u64("queued", *queued);
+        }
+        TraceEvent::RequestCompleted {
+            at,
+            wait_ns,
+            latency_ns,
+        } => {
+            obj.u64("at", *at);
+            obj.u64("wait_ns", *wait_ns);
+            obj.u64("latency_ns", *latency_ns);
+        }
+        TraceEvent::Sample {
+            at,
+            mode,
+            vdd_mv,
+            edge,
+        } => {
+            obj.u64("at", *at);
+            obj.str("mode", mode_name(*mode));
+            obj.u64("vdd_mv", u64::from(*vdd_mv));
+            obj.bool("edge", *edge);
+        }
+    }
+    obj.out.extend_from_slice(b"}}\n");
+}
+
+/// The fields of one JSON object being appended to a line.
+#[cfg(feature = "serde")]
+struct JsonObject<'a> {
+    out: &'a mut Vec<u8>,
+    first: bool,
+}
+
+#[cfg(feature = "serde")]
+impl JsonObject<'_> {
+    fn key(&mut self, key: &str) {
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
+        push_str(self.out, key);
+        self.out.push(b':');
+    }
+
+    fn u64(&mut self, key: &str, n: u64) {
+        self.key(key);
+        push_u64(self.out, n);
+    }
+
+    fn bool(&mut self, key: &str, b: bool) {
+        self.key(key);
+        self.out
+            .extend_from_slice(if b { b"true" as &[u8] } else { b"false" });
+    }
+
+    fn str(&mut self, key: &str, s: &str) {
+        self.key(key);
+        push_str(self.out, s);
+    }
+}
+
+/// Appends `n` in decimal.
+#[cfg(feature = "serde")]
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        // A decimal digit always fits a byte.
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            digits[i] = b'0' + (n % 10) as u8;
+        }
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Appends `s` as a JSON string with the vendored `serde_json`'s
+/// escapes: `\"`, `\\`, `\n`, `\r`, `\t`, `\u00xx` for the other
+/// control characters, everything else verbatim. Working on bytes is
+/// exact because every byte of a multi-byte UTF-8 sequence is >= 0x80.
+#[cfg(feature = "serde")]
+fn push_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut plain = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.extend_from_slice(&bytes[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ]),
+        }
+    }
+    out.extend_from_slice(&bytes[plain..]);
+    out.push(b'"');
+}
+
+/// [`Mode`]'s serde variant name.
+#[cfg(feature = "serde")]
+fn mode_name(mode: Mode) -> &'static str {
+    match mode {
+        Mode::High => "High",
+        Mode::DownDistribute => "DownDistribute",
+        Mode::RampDown => "RampDown",
+        Mode::Low => "Low",
+        Mode::UpDistribute => "UpDistribute",
+        Mode::RampUp => "RampUp",
+    }
+}
+
+/// [`FsmId`]'s serde variant name.
+#[cfg(feature = "serde")]
+fn fsm_name(fsm: FsmId) -> &'static str {
+    match fsm {
+        FsmId::Down => "Down",
+        FsmId::Up => "Up",
     }
 }
 

@@ -2,7 +2,7 @@
 //! relative link target in the tracked docs must exist on disk. Keeps
 //! cross-references (README ⇄ DESIGN ⇄ EXPERIMENTS ⇄
 //! `docs/observability.md`) from silently rotting as files move —
-//! part of the CI docs job. External (`://`, `mailto:`) links and
+//! run by CI's `check` job with the workspace tests. External (`://`, `mailto:`) links and
 //! in-page `#anchors` are out of scope.
 
 use std::path::{Path, PathBuf};
