@@ -61,14 +61,28 @@ impl CsvSink {
     /// was explicitly requested, so failing silently would lose data).
     #[must_use]
     pub fn from_env(experiment: &str) -> Self {
-        let Some(dir) = std::env::var_os("VSV_CSV_DIR") else {
+        Self::in_dir(
+            std::env::var_os("VSV_CSV_DIR").map(PathBuf::from),
+            experiment,
+        )
+    }
+
+    /// Opens `<dir>/<experiment>.csv` when `dir` is given (creating the
+    /// directory); otherwise returns a no-op sink. [`CsvSink::from_env`]
+    /// passes `VSV_CSV_DIR`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`CsvSink::from_env`].
+    #[must_use]
+    pub fn in_dir(dir: Option<PathBuf>, experiment: &str) -> Self {
+        let Some(dir) = dir else {
             return CsvSink {
                 file: None,
                 path: None,
             };
         };
-        let dir = PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("create VSV_CSV_DIR");
+        std::fs::create_dir_all(&dir).expect("create the CSV directory");
         let path = dir.join(format!("{experiment}.csv"));
         let file = std::fs::File::create(&path).expect("create csv file");
         CsvSink {
@@ -164,10 +178,13 @@ mod tests {
         assert!(e.warmup_instructions > 0);
     }
 
+    // These tests never touch the process environment: tests run in
+    // parallel threads of one process, so a test that set `VSV_CSV_DIR`
+    // would leak it into every other.
+
     #[test]
-    fn csv_sink_without_env_is_noop() {
-        // VSV_CSV_DIR is not set in the test environment.
-        let mut sink = CsvSink::from_env("unit-test");
+    fn csv_sink_without_a_dir_is_noop() {
+        let mut sink = CsvSink::in_dir(None, "unit-test");
         assert!(sink.path().is_none());
         sink.row(&["a", "b"]); // must not panic
     }
@@ -176,12 +193,10 @@ mod tests {
     fn csv_quoting() {
         // Exercise the quoting path through a real temp file.
         let dir = std::env::temp_dir().join("vsv-csv-test");
-        std::env::set_var("VSV_CSV_DIR", &dir);
-        let mut sink = CsvSink::from_env("quoting");
+        let mut sink = CsvSink::in_dir(Some(dir), "quoting");
         sink.row(&["plain", "with,comma", "with\"quote"]);
         let path = sink.path().expect("csv requested").to_owned();
         drop(sink);
-        std::env::remove_var("VSV_CSV_DIR");
         let contents = std::fs::read_to_string(path).expect("csv written");
         assert_eq!(contents.trim(), "plain,\"with,comma\",\"with\"\"quote\"");
     }

@@ -117,12 +117,32 @@ pub enum ReplacementPolicy {
     Fifo,
 }
 
+/// One way of a set, packed into 16 bytes. `key` is the block's tag
+/// plus one, so the all-zero way is invalid and a fresh tag array is
+/// zeroed memory. `stamp` is the replacement stamp (the use counter of
+/// the last fill, or of the last hit under LRU) with the dirty flag in
+/// its top bit; the counter never gets near 2^63.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_use: u64,
+    key: u64,
+    stamp: u64,
+}
+
+/// The dirty flag's bit in [`Line::stamp`].
+const DIRTY: u64 = 1 << 63;
+
+impl Line {
+    fn valid(self) -> bool {
+        self.key != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.stamp & DIRTY != 0
+    }
+
+    fn last_use(self) -> u64 {
+        self.stamp & !DIRTY
+    }
 }
 
 /// A block displaced by a fill.
@@ -201,6 +221,10 @@ impl Cache {
         );
         assert!(cfg.assoc >= 1, "associativity must be at least 1");
         let sets = cfg.sets();
+        assert!(
+            sets > 1 || cfg.block_bytes > 1,
+            "a single set of one-byte blocks leaves no room for the invalid-way key"
+        );
         Cache {
             cfg,
             policy,
@@ -208,6 +232,23 @@ impl Cache {
             set_mask: sets as u64 - 1,
             set_bits: sets.trailing_zeros(),
             block_shift: cfg.block_bytes.trailing_zeros(),
+            use_counter: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// A cache of `cfg`'s geometry with no tag array: it reports empty
+    /// statistics and must never be accessed. A chip core's private L2
+    /// takes this form, since the shared fabric's L2 serves every core.
+    #[must_use]
+    pub(crate) fn unallocated(cfg: CacheConfig) -> Self {
+        Cache {
+            cfg,
+            policy: ReplacementPolicy::Lru,
+            lines: Vec::new(),
+            set_mask: 0,
+            set_bits: 0,
+            block_shift: 0,
             use_counter: 0,
             stats: CacheStats::default(),
         }
@@ -242,29 +283,32 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// The set of `addr` and its block's [`Line::key`] (tag plus one:
+    /// the set or block bits shifted off keep the tag below `u64::MAX`).
     fn index(&self, addr: Addr) -> (usize, u64) {
         let block = addr.0 >> self.block_shift;
-        ((block & self.set_mask) as usize, block >> self.set_bits)
+        (
+            (block & self.set_mask) as usize,
+            (block >> self.set_bits) + 1,
+        )
     }
 
     /// Looks up `addr`, updating LRU and the dirty bit on a hit.
     /// Returns `true` on hit. Does not allocate on miss (callers fill
     /// via [`Cache::fill`] when the refill arrives).
     pub fn access(&mut self, addr: Addr, write: bool) -> bool {
-        let (set, tag) = self.index(addr);
+        let (set, key) = self.index(addr);
         self.use_counter += 1;
         let counter = self.use_counter;
         let lru = self.policy == ReplacementPolicy::Lru;
-        match self
-            .set_lines_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
+        match self.set_lines_mut(set).iter_mut().find(|l| l.key == key) {
             Some(line) => {
                 if lru {
-                    line.last_use = counter;
+                    line.stamp = counter | (line.stamp & DIRTY);
                 }
-                line.dirty |= write;
+                if write {
+                    line.stamp |= DIRTY;
+                }
                 self.stats.hits += 1;
                 true
             }
@@ -278,8 +322,8 @@ impl Cache {
     /// Checks residency without touching LRU state or statistics.
     #[must_use]
     pub fn probe(&self, addr: Addr) -> bool {
-        let (set, tag) = self.index(addr);
-        self.set_lines(set).iter().any(|l| l.valid && l.tag == tag)
+        let (set, key) = self.index(addr);
+        self.set_lines(set).iter().any(|l| l.key == key)
     }
 
     /// Installs the block containing `addr`, evicting the LRU way if
@@ -304,51 +348,45 @@ impl Cache {
     /// Installs the block containing `addr` (dirty if `dirty`),
     /// reporting *any* displaced block — clean or dirty.
     pub fn fill_evicting(&mut self, addr: Addr, dirty: bool) -> Option<Eviction> {
-        let (set, tag) = self.index(addr);
+        let (set, key) = self.index(addr);
         self.use_counter += 1;
         let counter = self.use_counter;
         self.stats.fills += 1;
+        let dirty_bit = if dirty { DIRTY } else { 0 };
 
         // Already resident (e.g. two merged misses racing): refresh.
-        if let Some(line) = self
-            .set_lines_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
-            line.last_use = counter;
-            line.dirty |= dirty;
+        if let Some(line) = self.set_lines_mut(set).iter_mut().find(|l| l.key == key) {
+            line.stamp = counter | (line.stamp & DIRTY) | dirty_bit;
             return None;
         }
 
         // Prefer an invalid way; otherwise evict LRU.
-        let victim_idx = match self.set_lines(set).iter().position(|l| !l.valid) {
+        let victim_idx = match self.set_lines(set).iter().position(|l| !l.valid()) {
             Some(i) => i,
             None => self
                 .set_lines(set)
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
+                .min_by_key(|(_, l)| l.last_use())
                 .map(|(i, _)| i)
                 .expect("assoc >= 1"),
         };
 
         let victim = self.set_lines(set)[victim_idx];
         let mut evicted = None;
-        if victim.valid {
+        if victim.valid() {
             self.stats.evictions += 1;
-            if victim.dirty {
+            if victim.dirty() {
                 self.stats.writebacks += 1;
             }
             evicted = Some(Eviction {
-                addr: self.rebuild_addr(set, victim.tag),
-                dirty: victim.dirty,
+                addr: self.rebuild_addr(set, victim.key - 1),
+                dirty: victim.dirty(),
             });
         }
         self.set_lines_mut(set)[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty,
-            last_use: counter,
+            key,
+            stamp: counter | dirty_bit,
         };
         evicted
     }
@@ -356,15 +394,11 @@ impl Cache {
     /// Drops the block containing `addr` if present; returns whether a
     /// block was invalidated.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let (set, tag) = self.index(addr);
-        match self
-            .set_lines_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
+        let (set, key) = self.index(addr);
+        match self.set_lines_mut(set).iter_mut().find(|l| l.key == key) {
             Some(line) => {
-                line.valid = false;
-                line.dirty = false;
+                line.key = 0;
+                line.stamp &= !DIRTY;
                 true
             }
             None => false,
@@ -374,14 +408,10 @@ impl Cache {
     /// Marks the resident block containing `addr` dirty (write hit from
     /// a write-back arriving from above). Returns `false` if absent.
     pub fn mark_dirty(&mut self, addr: Addr) -> bool {
-        let (set, tag) = self.index(addr);
-        match self
-            .set_lines_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
+        let (set, key) = self.index(addr);
+        match self.set_lines_mut(set).iter_mut().find(|l| l.key == key) {
             Some(line) => {
-                line.dirty = true;
+                line.stamp |= DIRTY;
                 true
             }
             None => false,
@@ -391,7 +421,7 @@ impl Cache {
     /// Number of valid blocks currently resident.
     #[must_use]
     pub fn resident_blocks(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 
     fn rebuild_addr(&self, set: usize, tag: u64) -> Addr {
@@ -509,6 +539,11 @@ mod tests {
         c.fill(Addr(0x40 + 128));
         let wb = c.fill(Addr(0x40 + 256));
         assert_eq!(wb, Some(Addr(0x40)));
+    }
+
+    #[test]
+    fn a_way_packs_into_16_bytes() {
+        assert_eq!(std::mem::size_of::<Line>(), 16);
     }
 
     #[test]

@@ -94,10 +94,12 @@ pub struct BranchPredictorStats {
     pub btb_hits: u64,
 }
 
+/// One BTB way. `key` is the tag plus one, so the all-zero way is
+/// invalid (the PC's two alignment bits shifted off keep the tag below
+/// `u64::MAX`).
 #[derive(Debug, Clone, Copy, Default)]
 struct BtbLine {
-    valid: bool,
-    tag: u64,
+    key: u64,
     target: Pc,
     last_use: u64,
 }
@@ -275,13 +277,13 @@ impl BranchPredictor {
     fn btb_lookup(&mut self, pc: Pc) -> Option<Pc> {
         let sets = self.btb_sets();
         let set = ((pc.0 >> 2) as usize) & (sets - 1);
-        let tag = pc.0 >> 2 >> sets.trailing_zeros();
+        let key = (pc.0 >> 2 >> sets.trailing_zeros()) + 1;
         self.use_counter += 1;
         let counter = self.use_counter;
         let hit = self
             .btb_set_mut(set)
             .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
+            .find(|l| l.key == key)
             .map(|l| {
                 l.last_use = counter;
                 l.target
@@ -295,16 +297,16 @@ impl BranchPredictor {
     fn btb_fill(&mut self, pc: Pc, target: Pc) {
         let sets = self.btb_sets();
         let set = ((pc.0 >> 2) as usize) & (sets - 1);
-        let tag = pc.0 >> 2 >> sets.trailing_zeros();
+        let key = (pc.0 >> 2 >> sets.trailing_zeros()) + 1;
         self.use_counter += 1;
         let counter = self.use_counter;
         let ways = self.btb_set_mut(set);
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(line) = ways.iter_mut().find(|l| l.key == key) {
             line.target = target;
             line.last_use = counter;
             return;
         }
-        let victim = match ways.iter().position(|l| !l.valid) {
+        let victim = match ways.iter().position(|l| l.key == 0) {
             Some(i) => i,
             None => ways
                 .iter()
@@ -314,8 +316,7 @@ impl BranchPredictor {
                 .expect("assoc >= 1"),
         };
         ways[victim] = BtbLine {
-            valid: true,
-            tag,
+            key,
             target,
             last_use: counter,
         };
@@ -325,6 +326,11 @@ impl BranchPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_btb_way_packs_into_24_bytes() {
+        assert_eq!(std::mem::size_of::<BtbLine>(), 24);
+    }
 
     fn bp() -> BranchPredictor {
         BranchPredictor::new(BranchPredictorConfig::baseline())

@@ -7,6 +7,9 @@ use vsv_isa::{Addr, ArchReg, FnStream, Inst, Pc};
 
 /// One cold far load per 64-instruction lap; everything else is a
 /// dependent chain on the loaded value, so the pipeline truly stalls.
+/// Each lap's load takes its address from the previous lap's chain, so
+/// two laps' misses never overlap: every miss is alone, whether the
+/// core runs at full speed or has already slowed down.
 fn lonely_miss_stream() -> FnStream<impl FnMut() -> Option<Inst>> {
     let mut i: u64 = 0;
     FnStream::new(move || {
@@ -16,7 +19,12 @@ fn lonely_miss_stream() -> FnStream<impl FnMut() -> Option<Inst>> {
         let slot = n % 64;
         let pc = Pc(slot * 4);
         Some(match slot {
-            0 => Inst::load(pc, ArchReg::int(1), Addr(0x1000_0000 + lap * 4096)),
+            0 => Inst::load_dep(
+                pc,
+                ArchReg::int(1),
+                ArchReg::int(1),
+                Addr(0x1000_0000 + lap * 4096),
+            ),
             _ => Inst::alu(pc, ArchReg::int(1), &[ArchReg::int(1)]),
         })
     })
