@@ -17,7 +17,7 @@
 
 use vsv::{
     default_workers, mean_comparison, Comparison, DownPolicy, Sweep, SweepJob, SystemConfig,
-    UpPolicy, VsvConfig,
+    UpPolicy, VoltageLadder, VsvConfig,
 };
 use vsv_bench::{announce_workers, experiment_from_env, results_or_die, rule};
 use vsv_workloads::{high_mr_names, twin};
@@ -40,6 +40,20 @@ fn high_mr_mean(var_cfg: SystemConfig) -> Comparison {
         .map(|pair| Comparison::of(&pair[0], &pair[1]))
         .collect();
     mean_comparison(&cs)
+}
+
+/// The VDDL what-if rows (V).
+const VDDLS: [f64; 4] = [1.0, 1.2, 1.4, 1.6];
+
+/// The VDDL what-if configuration: `vddl` in both the controller's and
+/// the power model's technology, with the two-rail ladder rebuilt on
+/// it so the controller really dives to `vddl`.
+fn vddl_config(vddl: f64) -> SystemConfig {
+    let mut cfg = SystemConfig::vsv_with_fsms();
+    cfg.vsv.tech.vddl = vddl;
+    cfg.power.tech.vddl = vddl;
+    cfg.vsv.ladder = VoltageLadder::paper_rails(&cfg.vsv.tech);
+    cfg
 }
 
 fn main() {
@@ -94,11 +108,8 @@ fn main() {
     println!("\n-- VDDL what-if (paper: 1.2 V; clock fixed at half speed) --");
     println!("{:>12} | {:>8} {:>8}", "VDDL (V)", "power%", "perf%");
     rule(34);
-    for vddl in [1.0, 1.2, 1.4, 1.6] {
-        let mut cfg = SystemConfig::vsv_with_fsms();
-        cfg.vsv.tech.vddl = vddl;
-        cfg.power.tech.vddl = vddl;
-        let c = high_mr_mean(cfg);
+    for vddl in VDDLS {
+        let c = high_mr_mean(vddl_config(vddl));
         println!(
             "{:>12.1} | {:>8.1} {:>8.1}",
             vddl, c.power_saving_pct, c.perf_degradation_pct
@@ -201,4 +212,19 @@ fn main() {
          — the paper's argument that VSV still pays on top of clock\n\
          gating, seen from the other side."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_vddl_row_validates_and_dives_to_its_vddl() {
+        for vddl in VDDLS {
+            let cfg = vddl_config(vddl);
+            cfg.validate().expect("VDDL row validates");
+            let ladder = cfg.vsv.ladder;
+            assert_eq!(ladder.voltage(ladder.bottom()), vddl);
+        }
+    }
 }

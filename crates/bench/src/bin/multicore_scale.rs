@@ -28,7 +28,9 @@
 //! Scale via `VSV_INSTS` / `VSV_WARMUP`; `VSV_MULTICORE_JSON` overrides
 //! the output path (default `BENCH_multicore.json`).
 
-use vsv::{default_workers, Comparison, Mode, MulticoreSystem, Sweep, SystemConfig};
+use vsv::{
+    default_workers, Comparison, Mode, ModeTrace, MulticoreSystem, Sweep, SystemConfig, TraceLevel,
+};
 use vsv_bench::{announce_workers, experiment_from_env, results_or_die, rule, CsvSink};
 use vsv_workloads::twin;
 
@@ -272,18 +274,20 @@ fn main() {
         let cfg = SystemConfig::vsv_with_fsms().with_cores(2);
         let mut chip = MulticoreSystem::try_new(cfg, params).expect("valid multicore config");
         chip.try_warm_up(e.warmup_instructions).expect("warm-up");
-        chip.enable_traces(TRACE_CAPACITY);
-        chip.try_run(e.instructions).expect("traced run");
-        let traces: Vec<_> = chip
-            .take_traces()
-            .into_iter()
-            .map(|t| t.expect("tracing was enabled"))
+        let traces: Vec<ModeTrace> = (0..chip.cores())
+            .map(|core| {
+                let trace = ModeTrace::new(TRACE_CAPACITY);
+                chip.set_event_sink(core, TraceLevel::Full, Box::new(trace.clone()));
+                trace
+            })
             .collect();
-        // Lockstep means every core pushes one sample per ns, so the
+        chip.try_run(e.instructions).expect("traced run");
+        // Lockstep means every core records one sample per ns, so the
         // retained windows line up sample-for-sample even when the
         // ring dropped old entries.
-        let len = traces.iter().map(vsv::ModeTrace::len).min().unwrap_or(0);
-        let low_flags: Vec<Vec<bool>> = traces
+        let samples: Vec<_> = traces.iter().map(ModeTrace::samples).collect();
+        let len = samples.iter().map(Vec::len).min().unwrap_or(0);
+        let low_flags: Vec<Vec<bool>> = samples
             .iter()
             .map(|t| {
                 let skip = t.len() - len;

@@ -359,6 +359,9 @@ impl Command {
                     ns = next_value("--ns", &mut it)?
                         .parse()
                         .map_err(|e| format!("--ns: {e}"))?;
+                    if ns == 0 {
+                        return Err("--ns: the trace window must be at least 1 ns".to_owned());
+                    }
                 }
                 "--policy" => policy = Some(parse_policy(&next_value("--policy", &mut it)?)?),
                 "--policies" => {
@@ -1119,10 +1122,10 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
             let params = twin(&name).ok_or_else(|| unknown_twin(&name))?;
             let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))
                 .map_err(|e| e.to_string())?;
-            sys.enable_trace(ns);
+            let trace = vsv::ModeTrace::new(ns);
+            sys.set_event_sink(vsv::TraceLevel::Full, Box::new(trace.clone()));
             sys.try_warm_up(20_000).map_err(|e| e.to_string())?;
             sys.try_run(30_000).map_err(|e| e.to_string())?;
-            let trace = sys.take_trace().expect("tracing was enabled");
             let mut out = String::new();
             out.push_str("H=high d=down-distribute D=ramp-down L=low u=up-distribute U=ramp-up\n");
             for chunk in trace.strip().into_bytes().chunks(100) {
@@ -2283,6 +2286,22 @@ mod tests {
         );
         let err = Command::parse(&sv(&["trace", "summarize"])).expect_err("needs input");
         assert!(err.contains("--input is required"), "{err}");
+    }
+
+    #[test]
+    fn parses_trace_window_and_rejects_zero() {
+        let cmd = Command::parse(&sv(&["trace", "--twin", "ammp", "--ns", "600"])).expect("valid");
+        assert_eq!(
+            cmd,
+            Command::Trace {
+                twin: "ammp".to_owned(),
+                ns: 600,
+                svg: None,
+            }
+        );
+        let err = Command::parse(&sv(&["trace", "--twin", "ammp", "--ns", "0"]))
+            .expect_err("empty window");
+        assert!(err.contains("at least 1 ns"), "{err}");
     }
 
     #[test]

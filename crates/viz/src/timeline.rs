@@ -22,15 +22,15 @@ fn mode_color(mode: Mode) -> &'static str {
 /// # Examples
 ///
 /// ```
-/// use vsv::{Mode, ModeTrace, TraceSample};
+/// use vsv::{Mode, ModeTrace, TraceEvent, TraceSink};
 /// use vsv_viz::TimelineChart;
 ///
 /// let mut trace = ModeTrace::new(64);
-/// for ns in 0..32 {
-///     trace.push(TraceSample {
-///         ns,
-///         mode: if ns < 16 { Mode::High } else { Mode::Low },
-///         vdd: if ns < 16 { 1.8 } else { 1.2 },
+/// for at in 0..32 {
+///     trace.record(&TraceEvent::Sample {
+///         at,
+///         mode: if at < 16 { Mode::High } else { Mode::Low },
+///         vdd_mv: if at < 16 { 1800 } else { 1200 },
 ///         edge: true,
 ///     });
 /// }
@@ -74,7 +74,7 @@ impl<'a> TimelineChart<'a> {
     #[must_use]
     pub fn render(&self) -> String {
         assert!(!self.trace.is_empty(), "trace has no samples");
-        let samples: Vec<_> = self.trace.iter().collect();
+        let samples = self.trace.samples();
         let t0 = samples[0].ns;
         let span = samples.last().expect("nonempty").ns - t0 + 1;
 
@@ -127,7 +127,7 @@ impl<'a> TimelineChart<'a> {
         }
         let points: Vec<(f64, f64)> = samples
             .iter()
-            .map(|s| (x_of(s.ns), y_of_v(s.vdd)))
+            .map(|s| (x_of(s.ns), y_of_v(f64::from(s.vdd_mv) / 1000.0)))
             .collect();
         doc.polyline(&points, "#333333", 1.5);
         doc.text(
@@ -146,25 +146,25 @@ impl<'a> TimelineChart<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsv::TraceSample;
+    use vsv::{TraceEvent, TraceSink};
 
     fn trace_with(modes: &[(Mode, u64)]) -> ModeTrace {
         let mut t = ModeTrace::new(4096);
-        let mut ns = 0;
+        let mut at = 0;
         for &(mode, len) in modes {
             for _ in 0..len {
-                let vdd = match mode {
-                    Mode::High | Mode::DownDistribute => 1.8,
-                    Mode::Low | Mode::UpDistribute => 1.2,
-                    _ => 1.5,
+                let vdd_mv = match mode {
+                    Mode::High | Mode::DownDistribute => 1800,
+                    Mode::Low | Mode::UpDistribute => 1200,
+                    _ => 1500,
                 };
-                t.push(TraceSample {
-                    ns,
+                t.record(&TraceEvent::Sample {
+                    at,
                     mode,
-                    vdd,
+                    vdd_mv,
                     edge: true,
                 });
-                ns += 1;
+                at += 1;
             }
         }
         t

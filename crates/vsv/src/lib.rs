@@ -109,8 +109,7 @@ pub use system::{System, SystemConfig, MAX_CORES};
 #[cfg(feature = "serde")]
 pub use trace::JsonlSink;
 pub use trace::{
-    vdd_mv, FsmId, ModeTrace, NullSink, RingSink, SharedBuf, TraceEvent, TraceLevel, TraceSample,
-    TraceSink,
+    vdd_mv, FsmId, ModeTrace, NullSink, SharedBuf, TraceEvent, TraceLevel, TraceSample, TraceSink,
 };
 pub use vsv_power::{ErrorCurve, VoltageCurve, VoltageLadder, MAX_LADDER_DEPTH};
 pub use vsv_workloads::{TrafficModel, TrafficSpec};

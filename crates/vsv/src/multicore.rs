@@ -46,7 +46,7 @@ use crate::error::SimError;
 use crate::metrics::MetricsRegistry;
 use crate::report::{RunResult, SloOutcome};
 use crate::system::{System, SystemConfig, DEADLOCK_WINDOW_NS};
-use crate::trace::ModeTrace;
+use crate::trace::{TraceLevel, TraceSink};
 
 /// N replicated cores — private L1s, prefetcher, controller, policy —
 /// over one shared, arbitrated L2/bus/DRAM fabric, stepped in
@@ -136,18 +136,25 @@ impl MulticoreSystem {
         self.cores.first().map_or(0, System::now)
     }
 
-    /// Starts per-nanosecond mode/voltage tracing on every core (see
-    /// [`System::enable_trace`]); the traces are what cross-core
-    /// miss-storm correlation is computed from.
-    pub fn enable_traces(&mut self, capacity: usize) {
-        for sys in &mut self.cores {
-            sys.enable_trace(capacity);
-        }
+    /// Attaches a structured [`TraceSink`] at `level` to core `core`
+    /// (see [`System::set_event_sink`]): that voltage domain's events
+    /// go to it alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not below [`MulticoreSystem::cores`].
+    pub fn set_event_sink(&mut self, core: usize, level: TraceLevel, sink: Box<dyn TraceSink>) {
+        self.cores[core].set_event_sink(level, sink);
     }
 
-    /// Stops tracing and returns each core's trace, by core index.
-    pub fn take_traces(&mut self) -> Vec<Option<ModeTrace>> {
-        self.cores.iter_mut().map(System::take_trace).collect()
+    /// Detaches and returns core `core`'s event sink (see
+    /// [`System::take_event_sink`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not below [`MulticoreSystem::cores`].
+    pub fn take_event_sink(&mut self, core: usize) -> Option<Box<dyn TraceSink>> {
+        self.cores[core].take_event_sink()
     }
 
     /// Each core's shared-fabric statistics (bus transactions and
@@ -159,13 +166,6 @@ impl MulticoreSystem {
         (0..self.cores.len())
             .map(|i| fabric.core_stats(i))
             .collect()
-    }
-
-    /// Mutable access to the per-core systems, for the runner to
-    /// attach trace sinks. Stepping a core directly would break the
-    /// lockstep invariant — keep this inside the crate.
-    pub(crate) fn systems_mut(&mut self) -> &mut [System<Generator>] {
-        &mut self.cores
     }
 
     /// Runs every core for `instructions` committed instructions (per

@@ -119,14 +119,14 @@ impl Experiment {
         let mut capture: Option<Vec<EventBuf>> = None;
         if let Some((level, _, _)) = &sink {
             let bufs: Vec<EventBuf> = (0..chip.cores()).map(|_| EventBuf::default()).collect();
-            for (sys, buf) in chip.systems_mut().iter_mut().zip(&bufs) {
-                sys.set_event_sink(*level, Box::new(CaptureSink::new(buf.clone())));
+            for (core, buf) in bufs.iter().enumerate() {
+                chip.set_event_sink(core, *level, Box::new(CaptureSink::new(buf.clone())));
             }
             capture = Some(bufs);
         }
         let result = chip.try_run_with_metrics(self.instructions);
-        for sys in chip.systems_mut() {
-            drop(sys.take_event_sink());
+        for core in 0..chip.cores() {
+            drop(chip.take_event_sink(core));
         }
         let (result, metrics) = result?;
         if let (Some(bufs), Some((_, mut out, header))) = (capture, sink) {

@@ -16,7 +16,7 @@ use crate::error::{FaultKind, ModeTransition, SimError};
 use crate::metrics::{CounterId, MetricsRegistry};
 use crate::policy::{PolicySpec, PolicyStats};
 use crate::report::{RunResult, SloSpec};
-use crate::trace::{vdd_mv, ModeTrace, TraceEvent, TraceLevel, TraceSample, TraceSink};
+use crate::trace::{vdd_mv, TraceEvent, TraceLevel, TraceSink};
 
 /// Simulated nanoseconds without a commit before the watchdog
 /// declares a model deadlock (2 ms of simulated time).
@@ -389,7 +389,6 @@ pub struct System<S> {
     now: u64,
     anchors: Anchors,
     workload: String,
-    trace: Option<ModeTrace>,
     // Structured observability (see `crate::trace` / `crate::metrics`):
     // the always-on registry plus an optional event sink. `metrics`
     // accumulates the in-progress window; `window_metrics` holds the
@@ -496,7 +495,6 @@ impl<S: InstStream> System<S> {
             now: 0,
             anchors,
             workload: String::new(),
-            trace: None,
             metrics: MetricsRegistry::default(),
             window_metrics: MetricsRegistry::default(),
             event_sink: None,
@@ -517,24 +515,6 @@ impl<S: InstStream> System<S> {
     /// Names the workload in produced [`RunResult`]s.
     pub fn set_workload_name(&mut self, name: impl Into<String>) {
         self.workload = name.into();
-    }
-
-    /// Starts recording a per-nanosecond mode/voltage trace, keeping
-    /// the most recent `capacity` samples (a ring buffer). Costs a few
-    /// bytes per simulated nanosecond while enabled.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(ModeTrace::new(capacity));
-    }
-
-    /// Stops tracing and returns what was recorded, if tracing was on.
-    pub fn take_trace(&mut self) -> Option<ModeTrace> {
-        self.trace.take()
-    }
-
-    /// The trace recorded so far, if tracing is on.
-    #[must_use]
-    pub fn trace(&self) -> Option<&ModeTrace> {
-        self.trace.as_ref()
     }
 
     /// Attaches a structured [`TraceSink`] at `level`: from now on the
@@ -756,7 +736,6 @@ impl<S: InstStream> System<S> {
         let mode = self.controller.mode();
         let period = self.controller.current_period_ns();
         let mut next_edge = self.controller.next_edge();
-        let next_edge0 = next_edge;
         let (edges, vdd) = self.controller.skip_quiescent(from, ns);
         self.metrics.inc(CounterId::FastForwardBatches);
         self.metrics.add(CounterId::FastForwardNs, ns);
@@ -764,20 +743,6 @@ impl<S: InstStream> System<S> {
         self.power.record_leakage_span(ns, vdd);
         self.power.record_idle_cycles(edges, vdd);
         self.core.skip_idle_cycles(edges);
-        if let Some(trace) = self.trace.as_mut() {
-            for t in from..target {
-                let edge = t >= next_edge;
-                if edge {
-                    next_edge += period;
-                }
-                trace.push(TraceSample {
-                    ns: t,
-                    mode,
-                    vdd,
-                    edge,
-                });
-            }
-        }
         if self.event_sink.is_some() {
             if let Some((level, sink)) = self.event_sink.as_mut() {
                 if *level >= TraceLevel::Events {
@@ -794,19 +759,18 @@ impl<S: InstStream> System<S> {
             // batch marker.
             self.flush_trace_events();
             if let Some((TraceLevel::Full, sink)) = self.event_sink.as_mut() {
-                // Replay the skipped span sample by sample, mirroring
-                // the ModeTrace replay above.
-                let mut e = next_edge0;
+                // Replay the skipped span sample by sample.
+                let vdd_mv = vdd_mv(vdd);
                 for t in from..target {
-                    let edge = t >= e;
+                    let edge = t >= next_edge;
                     if edge {
-                        e += period;
+                        next_edge += period;
                     }
                     self.metrics.inc(CounterId::TraceEvents);
                     sink.record(&TraceEvent::Sample {
                         at: t,
                         mode,
-                        vdd_mv: vdd_mv(vdd),
+                        vdd_mv,
                         edge,
                     });
                 }
@@ -885,17 +849,18 @@ impl<S: InstStream> System<S> {
                 self.traffic_completions(now);
             }
         }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceSample {
-                ns: now,
-                mode: self.controller.mode(),
-                vdd: plan.vdd,
-                edge: plan.pipeline_edge,
-            });
-        }
         if self.event_sink.is_some() {
             self.flush_trace_events();
-            self.emit_sample(now, plan.vdd, plan.pipeline_edge);
+            let mode = self.controller.mode();
+            if let Some((TraceLevel::Full, sink)) = self.event_sink.as_mut() {
+                self.metrics.inc(CounterId::TraceEvents);
+                sink.record(&TraceEvent::Sample {
+                    at: now,
+                    mode,
+                    vdd_mv: vdd_mv(plan.vdd),
+                    edge: plan.pipeline_edge,
+                });
+            }
         }
         self.now += 1;
     }
@@ -1027,21 +992,6 @@ impl<S: InstStream> System<S> {
                     });
                 }
             }
-        }
-    }
-
-    /// Delivers a per-nanosecond [`TraceEvent::Sample`] when the sink
-    /// runs at [`TraceLevel::Full`].
-    fn emit_sample(&mut self, at: u64, vdd: f64, edge: bool) {
-        let mode = self.controller.mode();
-        if let Some((TraceLevel::Full, sink)) = self.event_sink.as_mut() {
-            self.metrics.inc(CounterId::TraceEvents);
-            sink.record(&TraceEvent::Sample {
-                at,
-                mode,
-                vdd_mv: vdd_mv(vdd),
-                edge,
-            });
         }
     }
 
@@ -1812,6 +1762,7 @@ mod tests {
 mod trace_tests {
     use super::*;
     use crate::controller::Mode;
+    use crate::trace::ModeTrace;
     use vsv_workloads::{Generator, WorkloadParams};
 
     #[test]
@@ -1823,17 +1774,18 @@ mod trace_tests {
         p.ilp_chains = 1;
         let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(p))
             .expect("valid config");
-        sys.enable_trace(50_000);
+        let trace = ModeTrace::new(50_000);
+        sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
         sys.try_warm_up(5_000).expect("warm-up");
         let _ = sys.try_run(20_000).expect("run");
-        let trace = sys.take_trace().expect("tracing was on");
         assert!(!trace.is_empty());
-        let modes: std::collections::HashSet<_> = trace.iter().map(|s| s.mode).collect();
+        let samples = trace.samples();
+        let modes: std::collections::HashSet<_> = samples.iter().map(|s| s.mode).collect();
         assert!(modes.contains(&Mode::High));
         assert!(modes.contains(&Mode::Low), "memory-bound run must go low");
         // Voltage is always inside the rail band.
-        for s in trace.iter() {
-            assert!(s.vdd >= 1.2 - 1e-9 && s.vdd <= 1.8 + 1e-9);
+        for s in &samples {
+            assert!((1200..=1800).contains(&s.vdd_mv));
         }
         // The strip renders one char per sample.
         assert_eq!(trace.strip().len(), trace.len());
@@ -1846,12 +1798,18 @@ mod trace_tests {
             Generator::new(WorkloadParams::compute_bound("t")),
         )
         .expect("valid config");
-        assert!(sys.trace().is_none());
-        sys.enable_trace(128);
+        assert!(sys.take_event_sink().is_none());
+        let trace = ModeTrace::new(128);
+        sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
         let _ = sys.try_run(1_000).expect("run");
-        assert!(sys.trace().is_some());
-        let t = sys.take_trace().expect("on");
-        assert!(t.len() <= 128);
-        assert!(sys.trace().is_none(), "take_trace turns tracing off");
+        assert!(sys.take_event_sink().is_some());
+        assert!(trace.len() <= 128);
+        let dropped = trace.dropped();
+        let _ = sys.try_run(1_000).expect("run");
+        assert_eq!(
+            trace.dropped(),
+            dropped,
+            "take_event_sink turns tracing off"
+        );
     }
 }

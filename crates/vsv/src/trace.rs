@@ -1,12 +1,12 @@
 //! Structured tracing: typed [`TraceEvent`]s delivered to a pluggable
-//! [`TraceSink`], plus the original bounded per-nanosecond
-//! [`ModeTrace`] ring behind Figure 2/3-style timeline plots.
+//! [`TraceSink`].
 //!
-//! Both layers are off by default and cost nothing while off. The
-//! event layer is enabled with [`crate::System::set_event_sink`] at a
-//! chosen [`TraceLevel`]; the sample ring with
-//! [`crate::System::enable_trace`]. Event emission sites and the full
-//! field-by-field schema are documented in `docs/observability.md`.
+//! Tracing is off by default and costs one branch per step while off.
+//! It is enabled with [`crate::System::set_event_sink`] at a chosen
+//! [`TraceLevel`]. The per-nanosecond timeline behind Figure 2/3-style
+//! plots is the [`TraceLevel::Full`] stream of [`TraceEvent::Sample`]s,
+//! kept in a bounded [`ModeTrace`] sink. Event emission sites and the
+//! full field-by-field schema are documented in `docs/observability.md`.
 //!
 //! Determinism contract: for a fixed configuration and experiment
 //! scale, the event stream is a pure function of the simulation — the
@@ -218,7 +218,7 @@ pub enum TraceEvent {
         at: u64,
     },
     /// One nanosecond of controller state ([`TraceLevel::Full`]
-    /// only) — the event-stream twin of [`TraceSample`].
+    /// only); a [`ModeTrace`] keeps these as [`TraceSample`]s.
     Sample {
         /// Simulation time (ns).
         at: u64,
@@ -322,65 +322,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&mut self, _event: &TraceEvent) {}
-}
-
-/// A bounded in-memory ring of events: long runs keep the most
-/// recent window, like [`ModeTrace`] but for the structured stream.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    events: std::collections::VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be nonzero");
-        RingSink {
-            events: std::collections::VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Iterates oldest → newest.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Events currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events dropped off the front so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event.clone());
-    }
 }
 
 /// A shareable, unbounded in-memory buffer of *typed* events: hand a
@@ -793,42 +734,53 @@ fn fsm_name(fsm: FsmId) -> &'static str {
     }
 }
 
-/// One nanosecond of controller state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One nanosecond of controller state, as a [`TraceEvent::Sample`]
+/// carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSample {
     /// Simulation time, nanoseconds.
     pub ns: u64,
     /// Controller mode during this nanosecond.
     pub mode: Mode,
-    /// Effective variable-domain supply voltage.
-    pub vdd: f64,
+    /// Effective variable-domain supply, millivolts.
+    pub vdd_mv: u32,
     /// Whether a pipeline clock edge fired this nanosecond.
     pub edge: bool,
 }
 
-/// A bounded ring buffer of [`TraceSample`]s.
+/// A bounded ring of the [`TraceLevel::Full`] stream's
+/// [`TraceEvent::Sample`]s, behind Figure 2/3-style timelines: a
+/// [`TraceSink`] that keeps only samples and drops the oldest once
+/// `capacity` are held. Like [`SharedBuf`], a clone is a handle on the
+/// same ring: attach one clone to the simulator and read the samples
+/// back through another.
 ///
 /// # Examples
 ///
 /// ```
-/// use vsv::{Mode, ModeTrace, TraceSample};
+/// use vsv::{Mode, ModeTrace, TraceEvent, TraceSink};
 ///
-/// let mut t = ModeTrace::new(2);
-/// for ns in 0..3 {
-///     t.push(TraceSample { ns, mode: Mode::High, vdd: 1.8, edge: true });
+/// let trace = ModeTrace::new(2);
+/// let mut sink = trace.clone();
+/// for at in 0..3 {
+///     sink.record(&TraceEvent::Sample { at, mode: Mode::High, vdd_mv: 1800, edge: true });
 /// }
-/// let samples: Vec<_> = t.iter().map(|s| s.ns).collect();
+/// let samples: Vec<_> = trace.samples().iter().map(|s| s.ns).collect();
 /// assert_eq!(samples, vec![1, 2], "oldest sample dropped");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModeTrace {
+#[derive(Debug, Clone)]
+pub struct ModeTrace(std::sync::Arc<std::sync::Mutex<SampleRing>>);
+
+#[derive(Debug, PartialEq)]
+struct SampleRing {
     samples: std::collections::VecDeque<TraceSample>,
     capacity: usize,
     dropped: u64,
 }
 
 impl ModeTrace {
-    /// Creates a trace holding at most `capacity` samples.
+    /// Creates a trace holding at most `capacity` samples. The ring
+    /// grows as samples arrive.
     ///
     /// # Panics
     ///
@@ -836,58 +788,41 @@ impl ModeTrace {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be nonzero");
-        ModeTrace {
-            samples: std::collections::VecDeque::with_capacity(capacity),
+        ModeTrace(std::sync::Arc::new(std::sync::Mutex::new(SampleRing {
+            samples: std::collections::VecDeque::new(),
             capacity,
             dropped: 0,
-        }
+        })))
     }
 
-    /// Appends a sample, dropping the oldest if full.
-    pub fn push(&mut self, sample: TraceSample) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(sample);
+    fn ring(&self) -> std::sync::MutexGuard<'_, SampleRing> {
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Iterates oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceSample> {
-        self.samples.iter()
+    /// The retained samples, oldest → newest.
+    #[must_use]
+    pub fn samples(&self) -> Vec<TraceSample> {
+        self.ring().samples.iter().copied().collect()
     }
 
     /// Samples currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.ring().samples.len()
     }
 
     /// Whether no samples are held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// Samples dropped off the front so far.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The mode changes in the retained window, as `(ns, mode)` pairs
-    /// (the first retained sample is always included).
-    #[must_use]
-    pub fn transitions(&self) -> Vec<(u64, Mode)> {
-        let mut out = Vec::new();
-        let mut last: Option<Mode> = None;
-        for s in &self.samples {
-            if last != Some(s.mode) {
-                out.push((s.ns, s.mode));
-                last = Some(s.mode);
-            }
-        }
-        out
+        self.ring().dropped
     }
 
     /// Renders the retained window as a compact one-char-per-ns strip:
@@ -896,7 +831,43 @@ impl ModeTrace {
     /// debugging sessions.
     #[must_use]
     pub fn strip(&self) -> String {
-        self.samples.iter().map(|s| s.mode.strip_char()).collect()
+        self.ring()
+            .samples
+            .iter()
+            .map(|s| s.mode.strip_char())
+            .collect()
+    }
+}
+
+/// Two traces are equal when they hold the same samples, capacity and
+/// drop count (a trace always equals its own clones).
+impl PartialEq for ModeTrace {
+    fn eq(&self, other: &Self) -> bool {
+        std::sync::Arc::ptr_eq(&self.0, &other.0) || *self.ring() == *other.ring()
+    }
+}
+
+impl TraceSink for ModeTrace {
+    fn record(&mut self, event: &TraceEvent) {
+        if let TraceEvent::Sample {
+            at,
+            mode,
+            vdd_mv,
+            edge,
+        } = *event
+        {
+            let mut ring = self.ring();
+            if ring.samples.len() == ring.capacity {
+                ring.samples.pop_front();
+                ring.dropped += 1;
+            }
+            ring.samples.push_back(TraceSample {
+                ns: at,
+                mode,
+                vdd_mv,
+                edge,
+            });
+        }
     }
 }
 
@@ -904,51 +875,37 @@ impl ModeTrace {
 mod tests {
     use super::*;
 
-    fn sample(ns: u64, mode: Mode) -> TraceSample {
-        TraceSample {
-            ns,
+    fn sample(at: u64, mode: Mode) -> TraceEvent {
+        TraceEvent::Sample {
+            at,
             mode,
-            vdd: 1.8,
+            vdd_mv: 1800,
             edge: true,
         }
     }
 
     #[test]
-    fn ring_buffer_caps_and_counts_drops() {
-        let mut t = ModeTrace::new(3);
-        for ns in 0..10 {
-            t.push(sample(ns, Mode::High));
+    fn mode_trace_keeps_only_samples_and_caps_with_drop_count() {
+        let trace = ModeTrace::new(3);
+        let mut sink = trace.clone();
+        for at in 0..10 {
+            sink.record(&sample(at, Mode::High));
+            sink.record(&TraceEvent::FsmFired {
+                at,
+                fsm: FsmId::Down,
+            });
         }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 7);
-        let first = t.iter().next().expect("nonempty");
-        assert_eq!(first.ns, 7);
-    }
-
-    #[test]
-    fn transitions_collapse_runs() {
-        let mut t = ModeTrace::new(16);
-        t.push(sample(0, Mode::High));
-        t.push(sample(1, Mode::High));
-        t.push(sample(2, Mode::DownDistribute));
-        t.push(sample(3, Mode::RampDown));
-        t.push(sample(4, Mode::RampDown));
-        t.push(sample(5, Mode::Low));
-        assert_eq!(
-            t.transitions(),
-            vec![
-                (0, Mode::High),
-                (2, Mode::DownDistribute),
-                (3, Mode::RampDown),
-                (5, Mode::Low)
-            ]
-        );
+        assert_eq!(trace.len(), 3);
+        assert_eq!(trace.dropped(), 7);
+        let ns: Vec<u64> = trace.samples().iter().map(|s| s.ns).collect();
+        assert_eq!(ns, vec![7, 8, 9]);
+        assert_eq!(trace, sink, "a clone is a handle on the same ring");
     }
 
     #[test]
     fn strip_renders_one_char_per_sample() {
         let mut t = ModeTrace::new(8);
-        for (ns, m) in [
+        for (at, m) in [
             (0, Mode::High),
             (1, Mode::DownDistribute),
             (2, Mode::RampDown),
@@ -956,7 +913,7 @@ mod tests {
             (4, Mode::UpDistribute),
             (5, Mode::RampUp),
         ] {
-            t.push(sample(ns, m));
+            t.record(&sample(at, m));
         }
         assert_eq!(t.strip(), "HdDLuU");
     }
@@ -1018,30 +975,6 @@ mod event_tests {
         assert_eq!(vdd_mv(1.2), 1200);
         assert_eq!(vdd_mv(1.2345), 1235);
         assert_eq!(vdd_mv(-0.5), 0);
-    }
-
-    #[test]
-    fn ring_sink_caps_and_counts_drops() {
-        let mut ring = RingSink::new(2);
-        for at in 0..5 {
-            ring.record(&fired(at));
-        }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 3);
-        let ats: Vec<u64> = ring
-            .events()
-            .map(|e| match e {
-                TraceEvent::FsmFired { at, .. } => *at,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(ats, vec![3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_capacity_ring_panics() {
-        let _ = RingSink::new(0);
     }
 
     #[test]

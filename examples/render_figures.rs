@@ -6,7 +6,7 @@
 //! cargo run --release --example render_figures [output-dir]
 //! ```
 
-use vsv::{Comparison, Experiment, System, SystemConfig};
+use vsv::{Comparison, Experiment, ModeTrace, System, SystemConfig, TraceLevel};
 use vsv_viz::{GroupedBarChart, TimelineChart};
 use vsv_workloads::{twin, Generator};
 
@@ -59,10 +59,10 @@ fn main() {
         Generator::new(twin("ammp").expect("twin exists")),
     )
     .expect("valid config");
-    sys.enable_trace(600);
+    let trace = ModeTrace::new(600);
+    sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
     sys.try_warm_up(20_000).expect("warm-up");
     let _ = sys.try_run(20_000).expect("run");
-    let trace = sys.take_trace().expect("tracing enabled");
     let tl_path = out_dir.join("timeline.svg");
     std::fs::write(&tl_path, TimelineChart::new(&trace).render()).expect("write svg");
     println!("wrote {}", tl_path.display());

@@ -7,7 +7,9 @@
 //! primitives (FSM window drain, idle-cycle power accounting, leakage
 //! span, controller edge math) against their per-cycle references.
 
-use vsv::{DownPolicy, ModeTrace, RunResult, System, SystemConfig, UpPolicy, VsvController};
+use vsv::{
+    DownPolicy, ModeTrace, RunResult, System, SystemConfig, TraceLevel, UpPolicy, VsvController,
+};
 use vsv_power::{ActivitySample, PowerAccountant, PowerConfig};
 use vsv_workloads::{high_mr_names, spec2k_twins, twin, WorkloadParams};
 
@@ -28,10 +30,10 @@ fn run_one(
     )
     .expect("valid config");
     sys.set_workload_name(params.name);
-    sys.enable_trace(TRACE_CAP);
+    let trace = ModeTrace::new(TRACE_CAP);
+    sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
     sys.try_warm_up(WARMUP).expect("warm-up");
     let result = sys.try_run(INSTS).expect("run");
-    let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }
 

@@ -13,7 +13,7 @@
 
 use vsv::{
     Experiment, ModeTrace, PolicySpec, RunResult, SimError, Sweep, SweepReport, System,
-    SystemConfig, VoltageLadder,
+    SystemConfig, TraceLevel, VoltageLadder,
 };
 use vsv_workloads::{twin, Generator, WorkloadParams};
 
@@ -49,10 +49,10 @@ fn run_traced(
     let mut sys = System::try_new(cfg.with_fast_forward(fast_forward), Generator::new(params))
         .expect("valid config");
     sys.set_workload_name(params.name);
-    sys.enable_trace(TRACE_CAP);
+    let trace = ModeTrace::new(TRACE_CAP);
+    sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
     sys.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = sys.try_run(e.instructions).expect("run");
-    let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }
 

@@ -14,7 +14,7 @@
 
 use vsv::{
     Experiment, ModeTrace, MulticoreSystem, PolicySpec, RunResult, SimError, Sweep, SweepReport,
-    System, SystemConfig,
+    System, SystemConfig, TraceLevel,
 };
 use vsv_workloads::{twin, Generator, WorkloadParams};
 
@@ -43,10 +43,10 @@ fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace
     let mut sys = System::try_new(cfg.with_fast_forward(false), Generator::new(params))
         .expect("valid config");
     sys.set_workload_name(params.name);
-    sys.enable_trace(TRACE_CAP);
+    let trace = ModeTrace::new(TRACE_CAP);
+    sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
     sys.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = sys.try_run(e.instructions).expect("run");
-    let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }
 
@@ -55,14 +55,10 @@ fn run_chip_of_1(params: &WorkloadParams, cfg: SystemConfig) -> (RunResult, Mode
     let e = Experiment::quick();
     let mut chip = MulticoreSystem::try_new(cfg.with_fast_forward(false).with_cores(1), params)
         .expect("valid one-core config");
-    chip.enable_traces(TRACE_CAP);
+    let trace = ModeTrace::new(TRACE_CAP);
+    chip.set_event_sink(0, TraceLevel::Full, Box::new(trace.clone()));
     chip.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = chip.try_run(e.instructions).expect("run");
-    let trace = chip
-        .take_traces()
-        .pop()
-        .flatten()
-        .expect("tracing was on for core 0");
     (result, trace)
 }
 

@@ -324,17 +324,17 @@ fn issue_histogram_is_consistent_with_counters() {
 /// every transition state present.
 #[test]
 fn trace_renders_to_timeline_svg() {
-    use vsv::{Mode, System};
+    use vsv::{Mode, ModeTrace, System, TraceLevel};
     use vsv_workloads::Generator;
 
     let params = twin("ammp").expect("ammp exists");
     let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))
         .expect("valid config");
-    sys.enable_trace(3_000);
+    let trace = ModeTrace::new(3_000);
+    sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
     sys.try_warm_up(20_000).expect("warm-up");
     let _ = sys.try_run(20_000).expect("run");
-    let trace = sys.take_trace().expect("tracing on");
-    let modes: std::collections::HashSet<Mode> = trace.iter().map(|s| s.mode).collect();
+    let modes: std::collections::HashSet<Mode> = trace.samples().iter().map(|s| s.mode).collect();
     for m in [Mode::High, Mode::DownDistribute, Mode::RampDown, Mode::Low] {
         assert!(modes.contains(&m), "missing {m:?} in {}", trace.strip());
     }

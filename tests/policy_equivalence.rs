@@ -21,7 +21,7 @@
 
 use vsv::{
     Comparison, DownPolicy, Experiment, ModeTrace, PolicySpec, RunResult, System, SystemConfig,
-    UpPolicy,
+    TraceLevel, UpPolicy,
 };
 use vsv_workloads::{twin, AccessPattern, Generator, WorkloadParams};
 
@@ -64,10 +64,10 @@ fn run_traced(
     let mut sys = System::try_new(cfg.with_fast_forward(fast_forward), Generator::new(params))
         .expect("valid config");
     sys.set_workload_name(params.name);
-    sys.enable_trace(TRACE_CAP);
+    let trace = ModeTrace::new(TRACE_CAP);
+    sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
     sys.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = sys.try_run(e.instructions).expect("run");
-    let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }
 

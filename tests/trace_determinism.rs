@@ -5,15 +5,18 @@
 //!    runs of the same workload/configuration;
 //! 2. a traced sweep's per-job buffers (and their grid-order
 //!    concatenation) do not depend on the worker count;
-//! 3. attaching a [`NullSink`] leaves the simulated results
-//!    bit-identical to an un-instrumented run (the bench gate in
-//!    `crates/bench/src/bin/throughput.rs` bounds its *cost*; this
-//!    proves its *transparency*);
+//! 3. attaching a [`NullSink`] or a `full`-level [`ModeTrace`] leaves
+//!    the simulated results bit-identical to an un-instrumented run
+//!    (the bench gate in `crates/bench/src/bin/throughput.rs` bounds
+//!    the null sink's *cost*; this proves its *transparency*);
 //! 4. every emitted line parses back into a [`TraceEvent`], and the
 //!    stream carries the structure the summarizer relies on (a
 //!    seeding `ModeEntered` first, one `WindowClosed` last).
 
-use vsv::{Experiment, MetricsRegistry, NullSink, Sweep, SystemConfig, TraceEvent, TraceLevel};
+use vsv::{
+    Experiment, MetricsRegistry, ModeTrace, NullSink, Sweep, SystemConfig, TraceEvent, TraceLevel,
+    TraceSink,
+};
 use vsv_workloads::twin;
 
 fn experiment() -> Experiment {
@@ -82,15 +85,19 @@ fn null_sink_is_transparent() {
     let e = experiment();
     for cfg in [SystemConfig::baseline(), SystemConfig::vsv_with_fsms()] {
         let plain = e.try_run(&params(), cfg).expect("plain run");
-        let (instrumented, metrics) = e
-            .try_run_instrumented(
-                &params(),
-                cfg,
-                Some((TraceLevel::Events, Box::new(NullSink), None)),
-            )
-            .expect("instrumented run");
-        assert_eq!(plain, instrumented, "NullSink changed simulated results");
-        assert_ne!(metrics, MetricsRegistry::default(), "no metrics collected");
+        let trace = ModeTrace::new(1 << 12);
+        let sinks: [(&str, TraceLevel, Box<dyn TraceSink>); 2] = [
+            ("NullSink", TraceLevel::Events, Box::new(NullSink)),
+            ("ModeTrace", TraceLevel::Full, Box::new(trace.clone())),
+        ];
+        for (name, level, sink) in sinks {
+            let (instrumented, metrics) = e
+                .try_run_instrumented(&params(), cfg, Some((level, sink, None)))
+                .expect("instrumented run");
+            assert_eq!(plain, instrumented, "{name} changed simulated results");
+            assert_ne!(metrics, MetricsRegistry::default(), "no metrics collected");
+        }
+        assert!(!trace.is_empty(), "the ModeTrace saw no samples");
     }
 }
 
