@@ -15,20 +15,27 @@
 //! iteration, in core-index order. Shared-fabric arbitration (bus
 //! FIFO, DRAM banking, MSHR admission) therefore resolves identically
 //! on every run: same configuration, same streams, same interleaving
-//! — bit for bit. Quiescent-stall fast-forward is *not* used here
-//! (a core can only skip when the whole chip is provably inert, which
-//! contention makes rare and correlated); multicore runs are always
-//! ns-stepped. Single-core runs never construct a [`MulticoreSystem`]
-//! at all — the runner dispatches here only when
-//! [`SystemConfig::cores`] > 1 — so the N=1 path stays bit-identical
-//! to the pre-multicore simulator.
+//! — bit for bit. A core built on the shared fabric has quiescent-stall
+//! fast-forward cleared at construction: a lone skip would run its
+//! clock ahead of its neighbours', so chip cores are always
+//! ns-stepped. The runner builds a [`MulticoreSystem`] only for
+//! [`SystemConfig::cores`] > 1; a one-core chip is still bit-identical
+//! to the plain [`System`] (`tests/multicore_equivalence.rs`).
 //!
 //! # Windows
 //!
-//! Warm-up and measurement mirror the single-core contract per core:
-//! each core warms until *it* has committed the warm-up target, keeps
-//! executing (to preserve contention) until every core has, and then
-//! all measurement anchors reset at the same instant. In the measured
+//! There is one window contract, and [`System`] owns it: the lockstep
+//! drives one per-core watch with exactly the rules
+//! [`System::try_run`] applies to a single core — the injected-fault
+//! prologue (core 0 first, before any step), the target check before
+//! each step (so a 0-instruction window closes empty), and the
+//! unrecoverable-read, `max_sim_ns` budget and 2 ms deadlock checks
+//! after it. A failure names the core it happened on (`mcf#1`).
+//!
+//! Warm-up and measurement apply that contract per core: each core
+//! warms until *it* has committed the warm-up target, keeps executing
+//! (to preserve contention) until every core has, and then all
+//! measurement anchors reset at the same instant. In the measured
 //! window each core's result is captured the moment it reaches its
 //! own commit target — its window, its elapsed time — while it keeps
 //! running as background load until the last core finishes. The
@@ -45,7 +52,7 @@ use vsv_workloads::{Generator, WorkloadParams};
 use crate::error::SimError;
 use crate::metrics::MetricsRegistry;
 use crate::report::{RunResult, SloOutcome};
-use crate::system::{System, SystemConfig, DEADLOCK_WINDOW_NS};
+use crate::system::{System, SystemConfig};
 use crate::trace::{TraceLevel, TraceSink};
 
 /// N replicated cores — private L1s, prefetcher, controller, policy —
@@ -55,7 +62,6 @@ use crate::trace::{TraceLevel, TraceSink};
 #[derive(Debug)]
 pub struct MulticoreSystem {
     cores: Vec<System<Generator>>,
-    names: Vec<String>,
     workload: String,
     fabric: Rc<RefCell<SharedFabric>>,
 }
@@ -105,19 +111,15 @@ impl MulticoreSystem {
         }
         let fabric = SharedFabric::new(cfg.mem, cfg.cores).into_shared();
         let mut cores = Vec::with_capacity(cfg.cores);
-        let mut names = Vec::with_capacity(cfg.cores);
         for (i, p) in params.iter().enumerate() {
             let handle = SharedHandle::new(Rc::clone(&fabric), i);
             let mut sys = System::try_new_on_fabric(cfg, Generator::new(*p), handle)?;
-            let name = format!("{}#{i}", p.name);
-            sys.set_workload_name(name.clone());
+            sys.set_workload_name(format!("{}#{i}", p.name));
             cores.push(sys);
-            names.push(name);
         }
         let workload = params.first().map_or("", |p| p.name).to_owned();
         Ok(MulticoreSystem {
             cores,
-            names,
             workload,
             fabric,
         })
@@ -177,14 +179,7 @@ impl MulticoreSystem {
     /// Returns the first [`SimError`] any core raises (deadlock,
     /// exhausted budget, injected fault, unrecoverable read).
     pub fn try_warm_up(&mut self, instructions: u64) -> Result<(), SimError> {
-        let _ = self.run_lockstep(instructions)?;
-        // Early finishers kept executing until the slowest core hit
-        // the target, accruing into a partial window; close and
-        // discard it so every core's anchors sit at the same "now".
-        for sys in &mut self.cores {
-            let _ = sys.finish_window_now();
-        }
-        Ok(())
+        self.run_lockstep(instructions).map(drop)
     }
 
     /// Runs every core for `instructions` committed instructions and
@@ -210,11 +205,6 @@ impl MulticoreSystem {
         instructions: u64,
     ) -> Result<(RunResult, MetricsRegistry), SimError> {
         let windows = self.run_lockstep(instructions)?;
-        // Re-anchor the early finishers' background spans (mirrors
-        // `try_warm_up`) so a subsequent window starts clean.
-        for sys in &mut self.cores {
-            let _ = sys.finish_window_now();
-        }
         let mut metrics = MetricsRegistry::default();
         let mut per_core = Vec::with_capacity(windows.len());
         for (result, window) in windows {
@@ -224,85 +214,52 @@ impl MulticoreSystem {
         Ok((aggregate(&self.workload, per_core), metrics))
     }
 
-    /// The lockstep engine: advances all cores one nanosecond at a
-    /// time (core-index order) until every core has committed its
-    /// target, capturing each core's window — result plus metrics
-    /// registry — the moment that core finishes. Finished cores keep
-    /// stepping as background load so contention on the shared fabric
-    /// persists until the last core is done.
+    /// The lockstep engine: opens one window per core (core-index
+    /// order, so an injected fault fails on core 0 first), then
+    /// advances all cores one nanosecond at a time until every core
+    /// has committed its target. Each core's window — result plus
+    /// metrics registry — is captured the moment it reaches its
+    /// target; finished cores keep stepping as background load so
+    /// contention on the shared fabric persists until the last core is
+    /// done; then every core re-anchors at that common instant. Every
+    /// window rule is [`System`]'s own: the same per-core watch
+    /// `System::try_run` drives.
     fn run_lockstep(
         &mut self,
         instructions: u64,
     ) -> Result<Vec<(RunResult, MetricsRegistry)>, SimError> {
-        let n = self.cores.len();
-        for sys in &mut self.cores {
-            sys.begin_window_faults()?;
-        }
-        let window_start = self.now();
-        let targets: Vec<u64> = self
+        let mut watches = self
             .cores
-            .iter()
-            .map(|s| s.core().committed() + instructions)
-            .collect();
-        let mut open = vec![true; n];
-        let mut windows: Vec<Option<(RunResult, MetricsRegistry)>> = (0..n).map(|_| None).collect();
-        let mut last_committed: Vec<u64> =
-            self.cores.iter().map(|s| s.core().committed()).collect();
-        let mut last_progress_at = vec![window_start; n];
-        let mut remaining = n;
-        while remaining > 0 {
+            .iter_mut()
+            .map(|sys| sys.open_window(instructions).map(Some))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut closed = Vec::with_capacity(watches.len());
+        loop {
+            for (i, (sys, watch)) in self.cores.iter_mut().zip(&mut watches).enumerate() {
+                if watch.as_ref().is_some_and(|w| sys.window_reached(w)) {
+                    *watch = None;
+                    let result = sys.finish_window();
+                    closed.push((i, result, sys.window_metrics().clone()));
+                }
+            }
+            if closed.len() == watches.len() {
+                break;
+            }
             for sys in &mut self.cores {
-                sys.step_ns();
+                sys.advance_ns();
             }
-            let now = self.now();
-            for i in 0..n {
-                let sys = &mut self.cores[i];
-                if let Some(err) = sys.take_unrecoverable_error() {
-                    return Err(err);
-                }
-                if !open[i] {
-                    continue;
-                }
-                if let Some(limit) = sys.sim_budget_ns() {
-                    if now - window_start >= limit {
-                        return Err(SimError::BudgetExhausted {
-                            limit_ns: limit,
-                            at: now,
-                            committed: sys.core().committed(),
-                            workload: self.names[i].clone(),
-                        });
-                    }
-                }
-                let committed = sys.core().committed();
-                if committed != last_committed[i] {
-                    last_committed[i] = committed;
-                    last_progress_at[i] = now;
-                } else if now - last_progress_at[i] >= DEADLOCK_WINDOW_NS {
-                    return Err(sys.deadlock_err());
-                }
-                if committed >= targets[i] || sys.core().done() {
-                    let result = sys.finish_window_now();
-                    let window = sys.window_metrics().clone();
-                    windows[i] = Some((result, window));
-                    open[i] = false;
-                    remaining -= 1;
-                }
+            for (sys, watch) in self.cores.iter_mut().zip(&mut watches) {
+                sys.watch(watch.as_mut())?;
             }
         }
-        // Every slot was filled exactly when its core closed
-        // (`remaining` reaches 0 only once all windows are `Some`).
-        let mut closed = Vec::with_capacity(windows.len());
-        for (i, w) in windows.into_iter().enumerate() {
-            match w {
-                Some(v) => closed.push(v),
-                None => {
-                    return Err(SimError::Panic {
-                        message: format!("core {i} window never closed"),
-                    })
-                }
-            }
+        // Early finishers kept executing until the slowest core hit
+        // its target, accruing into a partial window; close and
+        // discard it so every core's anchors sit at the same "now".
+        for sys in &mut self.cores {
+            let _ = sys.finish_window();
         }
-        Ok(closed)
+        closed.sort_by_key(|&(i, _, _)| i);
+        Ok(closed.into_iter().map(|(_, r, m)| (r, m)).collect())
     }
 }
 
@@ -465,6 +422,23 @@ mod tests {
         );
         assert!(r.core_results.iter().all(|c| c.avg_power_w > 0.0));
         assert_eq!(r.core_results[0].workload, "ammp#0");
+    }
+
+    #[test]
+    fn zero_instruction_windows_are_empty_as_on_one_core() {
+        let p = twin("mcf").expect("mcf exists");
+        let mut one = System::try_new(quick(1), Generator::new(p)).expect("valid");
+        one.try_warm_up(0).expect("warm-up");
+        let single = one.try_run(0).expect("run");
+        assert_eq!((one.now(), single.elapsed_ns), (0, 0));
+        let mut chip = MulticoreSystem::try_new(quick(2), &p).expect("valid");
+        chip.try_warm_up(0).expect("warm-up");
+        assert_eq!(chip.now(), 0, "a 0-instruction warm-up takes no time");
+        let r = chip.try_run(0).expect("run");
+        assert_eq!(chip.now(), 0, "a 0-instruction window takes no time");
+        assert_eq!((r.instructions, r.elapsed_ns), (0, 0));
+        assert_eq!(r.energy_pj, single.energy_pj);
+        assert_eq!(r.core_results.len(), 2);
     }
 
     #[test]

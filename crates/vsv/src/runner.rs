@@ -7,7 +7,7 @@ use crate::metrics::MetricsRegistry;
 use crate::multicore::MulticoreSystem;
 use crate::report::{Comparison, RunResult};
 use crate::system::{System, SystemConfig};
-use crate::trace::{CaptureSink, EventBuf, TraceEvent, TraceLevel, TraceSink};
+use crate::trace::{EventBuf, TraceEvent, TraceLevel, TraceSink};
 
 /// Simulation-length policy for an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,13 +55,7 @@ impl Experiment {
         params: &WorkloadParams,
         cfg: SystemConfig,
     ) -> Result<RunResult, SimError> {
-        if cfg.cores > 1 {
-            return self.try_run_multicore(params, cfg, None).map(|(r, _)| r);
-        }
-        let mut sys = System::try_new(cfg, Generator::new(*params))?;
-        sys.set_workload_name(params.name);
-        sys.try_warm_up(self.warmup_instructions)?;
-        sys.try_run(self.instructions)
+        self.try_run_with_metrics(params, cfg).map(|(r, _)| r)
     }
 
     /// [`Experiment::try_run`] plus the measured window's
@@ -102,7 +96,7 @@ impl Experiment {
 
     /// The `cores > 1` arm of [`Experiment::try_run_instrumented`]:
     /// builds a [`MulticoreSystem`], warms up, then runs the measured
-    /// window with one in-memory [`CaptureSink`] per core. Afterwards
+    /// window with one in-memory [`EventBuf`] per core. Afterwards
     /// the captured streams are replayed into the caller's single
     /// sink — the `header` first, then each core's events behind a
     /// [`TraceEvent::CoreStart`] marker — so one JSONL trace carries
@@ -120,7 +114,7 @@ impl Experiment {
         if let Some((level, _, _)) = &sink {
             let bufs: Vec<EventBuf> = (0..chip.cores()).map(|_| EventBuf::default()).collect();
             for (core, buf) in bufs.iter().enumerate() {
-                chip.set_event_sink(core, *level, Box::new(CaptureSink::new(buf.clone())));
+                chip.set_event_sink(core, *level, Box::new(buf.clone()));
             }
             capture = Some(bufs);
         }

@@ -578,7 +578,7 @@ impl Sweep {
                             continue;
                         }
                         let job_start = Instant::now();
-                        let (outcome, metrics, trace_bytes, _) =
+                        let (outcome, metrics, trace_bytes) =
                             execute_job(&self.experiment, job, i, trace, &mut scratch);
                         let record = JobRecord {
                             job: i,
@@ -642,14 +642,14 @@ impl Sweep {
 /// policy: a typed [`SimError`] is final; a panic is retried exactly
 /// once (in case transient host state — not the deterministic model —
 /// poisoned the first attempt) and then recorded as
-/// [`SimError::Panic`]. Returns the outcome and the attempt count.
+/// [`SimError::Panic`]. A failed outcome carries the attempt count.
 fn execute_job(
     experiment: &Experiment,
     job: &SweepJob,
     index: usize,
     trace: Option<TraceLevel>,
     scratch: &mut Vec<u8>,
-) -> (JobOutcome, MetricsRegistry, Vec<u8>, u32) {
+) -> (JobOutcome, MetricsRegistry, Vec<u8>) {
     #[cfg(not(feature = "serde"))]
     let _ = (index, trace, scratch);
     const MAX_ATTEMPTS: u32 = 2;
@@ -679,34 +679,23 @@ fn execute_job(
                 .try_run_with_metrics(&job.params, job.config)
                 .map(|(result, metrics)| (result, metrics, Vec::new()))
         }));
-        match caught {
+        let error = match caught {
             Ok(Ok((result, metrics, trace_bytes))) => {
-                return (JobOutcome::Ok(result), metrics, trace_bytes, attempts)
+                return (JobOutcome::Ok(result), metrics, trace_bytes)
             }
-            Ok(Err(error)) => {
-                return (
-                    JobOutcome::Failed { error, attempts },
-                    MetricsRegistry::default(),
-                    Vec::new(),
-                    attempts,
-                )
-            }
-            Err(payload) => {
-                if attempts >= MAX_ATTEMPTS {
-                    let error = SimError::Panic {
-                        // `&*` derefs the Box so the downcast sees the
-                        // payload, not the Box itself.
-                        message: panic_message(&*payload),
-                    };
-                    return (
-                        JobOutcome::Failed { error, attempts },
-                        MetricsRegistry::default(),
-                        Vec::new(),
-                        attempts,
-                    );
-                }
-            }
-        }
+            Ok(Err(error)) => error,
+            Err(_) if attempts < MAX_ATTEMPTS => continue,
+            // `&*` derefs the Box so the downcast sees the payload, not
+            // the Box itself.
+            Err(payload) => SimError::Panic {
+                message: panic_message(&*payload),
+            },
+        };
+        return (
+            JobOutcome::Failed { error, attempts },
+            MetricsRegistry::default(),
+            Vec::new(),
+        );
     }
 }
 

@@ -20,7 +20,23 @@ use crate::trace::{vdd_mv, TraceEvent, TraceLevel, TraceSink};
 
 /// Simulated nanoseconds without a commit before the watchdog
 /// declares a model deadlock (2 ms of simulated time).
-pub(crate) const DEADLOCK_WINDOW_NS: u64 = 2_000_000;
+const DEADLOCK_WINDOW_NS: u64 = 2_000_000;
+
+/// One core's measured-window watch: the commit target and the
+/// watchdog's anchors. [`System::try_run`] drives one; the chip's
+/// lockstep drives one per core. Opened by `System::open_window`,
+/// checked by `System::window_reached` and `System::watch`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowWatch {
+    /// Simulated time the window opened (the budget's origin).
+    start: u64,
+    /// Commit count that closes the window.
+    target: u64,
+    /// Commit count at the last observed progress.
+    last_committed: u64,
+    /// Simulated time of the last observed progress.
+    last_progress_at: u64,
+}
 
 /// How many controller mode transitions the always-on diagnostic ring
 /// retains for deadlock reports.
@@ -452,6 +468,10 @@ impl<S: InstStream> System<S> {
         shared: Option<vsv_mem::SharedHandle>,
     ) -> Result<Self, SimError> {
         cfg.validate()?;
+        // A core on a shared fabric never skips alone: the chip steps
+        // all its cores in nanosecond lockstep, and a lone skip would
+        // run this core's clock ahead of the fabric's arbitration.
+        let fast_forward = cfg.fast_forward && shared.is_none();
         let mem = match shared {
             Some(handle) => Hierarchy::on_fabric(cfg.mem, handle),
             None => Hierarchy::new(cfg.mem),
@@ -498,7 +518,7 @@ impl<S: InstStream> System<S> {
             metrics: MetricsRegistry::default(),
             window_metrics: MetricsRegistry::default(),
             event_sink: None,
-            fast_forward: cfg.fast_forward,
+            fast_forward,
             max_sim_ns: cfg.max_sim_ns,
             inject_fault: cfg.inject_fault,
             error_curve,
@@ -625,11 +645,23 @@ impl<S: InstStream> System<S> {
     /// exceeds [`SystemConfig::max_sim_ns`]; the injected error when
     /// [`SystemConfig::inject_fault`] is armed.
     pub fn try_run(&mut self, instructions: u64) -> Result<RunResult, SimError> {
+        let mut window = self.open_window(instructions)?;
+        while !self.window_reached(&window) {
+            self.advance_ns();
+            self.watch(Some(&mut window))?;
+        }
+        Ok(self.finish_window())
+    }
+
+    /// Opens a measured window of `instructions` commits: dispatches an
+    /// armed injected fault, then starts the window's watch. Terminal
+    /// fault kinds fail here, before any step.
+    pub(crate) fn open_window(&mut self, instructions: u64) -> Result<WindowWatch, SimError> {
         if let Some(kind) = self.inject_fault {
             match kind {
-                // Same construction path as the real detector below,
-                // so the injected error is shaped exactly like a
-                // genuine one.
+                // Same construction path as the real detector in
+                // `watch`, so the injected error is shaped exactly like
+                // a genuine one.
                 FaultKind::Deadlock => return Err(self.deadlock_error()),
                 FaultKind::Panic => panic!(
                     "injected panic fault (SystemConfig::inject_fault) at t={}",
@@ -638,48 +670,63 @@ impl<S: InstStream> System<S> {
                 // Unlike the terminal kinds above, this one arms the
                 // hierarchy and lets the window run: every delivery
                 // errs until one read exhausts its budget, so the
-                // escalation below is exercised through the real
+                // escalation in `watch` is exercised through the real
                 // retry machinery.
                 FaultKind::UnrecoverableRead => self.core.mem_mut().arm_forced_read_error(),
             }
         }
-        let window_start = self.now;
-        let target = self.core.committed() + instructions;
-        let mut last_committed = self.core.committed();
-        let mut last_progress_at = self.now;
-        while self.core.committed() < target && !self.core.done() {
-            if self.fast_forward {
-                self.try_fast_forward();
-            }
-            self.step();
-            if let Some((at, retries)) = self.pending_unrecoverable.take() {
-                return Err(SimError::UnrecoverableRead {
-                    at,
+        let committed = self.core.committed();
+        Ok(WindowWatch {
+            start: self.now,
+            target: committed + instructions,
+            last_committed: committed,
+            last_progress_at: self.now,
+        })
+    }
+
+    /// Whether `window` is over: its commit target is reached or the
+    /// stream is done. Checked before every step, so a 0-instruction
+    /// window closes empty.
+    pub(crate) fn window_reached(&self, window: &WindowWatch) -> bool {
+        self.core.committed() >= window.target || self.core.done()
+    }
+
+    /// The per-step window rules, applied after each nanosecond: a
+    /// parked exhausted retry escalates to
+    /// [`SimError::UnrecoverableRead`] whether or not a window is open;
+    /// an open `window` also fails on its [`SystemConfig::max_sim_ns`]
+    /// budget and on [`DEADLOCK_WINDOW_NS`] without a commit.
+    pub(crate) fn watch(&mut self, window: Option<&mut WindowWatch>) -> Result<(), SimError> {
+        if let Some((at, retries)) = self.pending_unrecoverable.take() {
+            return Err(SimError::UnrecoverableRead {
+                at,
+                committed: self.core.committed(),
+                workload: self.workload.clone(),
+                retries,
+                mode: self.controller.mode(),
+            });
+        }
+        let Some(window) = window else {
+            return Ok(());
+        };
+        if let Some(limit) = self.max_sim_ns {
+            if self.now - window.start >= limit {
+                return Err(SimError::BudgetExhausted {
+                    limit_ns: limit,
+                    at: self.now,
                     committed: self.core.committed(),
                     workload: self.workload.clone(),
-                    retries,
-                    mode: self.controller.mode(),
                 });
             }
-            if let Some(limit) = self.max_sim_ns {
-                if self.now - window_start >= limit {
-                    return Err(SimError::BudgetExhausted {
-                        limit_ns: limit,
-                        at: self.now,
-                        committed: self.core.committed(),
-                        workload: self.workload.clone(),
-                    });
-                }
-            }
-            let committed = self.core.committed();
-            if committed != last_committed {
-                last_committed = committed;
-                last_progress_at = self.now;
-            } else if self.now - last_progress_at >= DEADLOCK_WINDOW_NS {
-                return Err(self.deadlock_error());
-            }
         }
-        Ok(self.finish_window())
+        let committed = self.core.committed();
+        if committed != window.last_committed {
+            window.last_committed = committed;
+            window.last_progress_at = self.now;
+        } else if self.now - window.last_progress_at >= DEADLOCK_WINDOW_NS {
+            return Err(self.deadlock_error());
+        }
+        Ok(())
     }
 
     /// Builds a [`SimError::Deadlock`] for the current machine state,
@@ -779,16 +826,20 @@ impl<S: InstStream> System<S> {
         self.now = target;
     }
 
+    /// One nanosecond of a window: first skips a quiescent stall in
+    /// one batch when this core may fast-forward, then steps 1 ns.
+    pub(crate) fn advance_ns(&mut self) {
+        if self.fast_forward {
+            self.try_fast_forward();
+        }
+        self.step_ns();
+    }
+
     /// Advances the simulation by exactly one nanosecond without any
     /// completion criterion — the single-stepping primitive under
     /// [`System::try_run`], exposed for tools that want to observe the
     /// controller's mode trajectory cycle by cycle.
     pub fn step_ns(&mut self) {
-        self.step();
-    }
-
-    /// One nanosecond of simulated time.
-    fn step(&mut self) {
         let now = self.now;
         if self.traffic.is_some() {
             self.traffic_arrivals(now);
@@ -1020,8 +1071,8 @@ impl<S: InstStream> System<S> {
     }
 
     /// Closes the measurement window: charges uncore energy for the
-    /// window's L2/bus/DRAM events and builds the result.
-    fn finish_window(&mut self) -> RunResult {
+    /// window's L2/bus/DRAM events, builds the result and re-anchors.
+    pub(crate) fn finish_window(&mut self) -> RunResult {
         let a = self.anchors;
         let l2_accesses = self.core.mem().l2_accesses() - a.l2_accesses;
         let dram = self.core.mem().dram_accesses() - a.dram_accesses;
@@ -1190,62 +1241,6 @@ impl<S: InstStream> System<S> {
         };
         self.reset_measurement();
         result
-    }
-
-    // ---- multicore driver hooks ------------------------------------
-    //
-    // `MulticoreSystem` steps N `System`s in nanosecond lockstep from
-    // outside this module, so it needs crate-visible handles onto the
-    // window machinery that `try_run` drives internally.
-
-    /// Replays `try_run`'s window prologue: dispatches an armed
-    /// injected fault (terminal kinds fail immediately; the
-    /// unrecoverable-read kind arms the hierarchy and lets the window
-    /// run).
-    pub(crate) fn begin_window_faults(&mut self) -> Result<(), SimError> {
-        if let Some(kind) = self.inject_fault {
-            match kind {
-                FaultKind::Deadlock => return Err(self.deadlock_error()),
-                FaultKind::Panic => panic!(
-                    "injected panic fault (SystemConfig::inject_fault) at t={}",
-                    self.now
-                ),
-                FaultKind::UnrecoverableRead => self.core.mem_mut().arm_forced_read_error(),
-            }
-        }
-        Ok(())
-    }
-
-    /// Escalates a parked exhausted retry budget into the typed error
-    /// `try_run` would have returned, if one is pending.
-    pub(crate) fn take_unrecoverable_error(&mut self) -> Option<SimError> {
-        self.pending_unrecoverable
-            .take()
-            .map(|(at, retries)| SimError::UnrecoverableRead {
-                at,
-                committed: self.core.committed(),
-                workload: self.workload.clone(),
-                retries,
-                mode: self.controller.mode(),
-            })
-    }
-
-    /// Crate-visible [`System::deadlock_error`] for the lockstep
-    /// driver's own progress watchdog.
-    pub(crate) fn deadlock_err(&self) -> SimError {
-        self.deadlock_error()
-    }
-
-    /// Crate-visible window close: charges uncore energy, builds the
-    /// [`RunResult`] and re-anchors — exactly what `try_run` does
-    /// when its commit target is reached.
-    pub(crate) fn finish_window_now(&mut self) -> RunResult {
-        self.finish_window()
-    }
-
-    /// The per-window simulated-time budget, for the lockstep driver.
-    pub(crate) fn sim_budget_ns(&self) -> Option<u64> {
-        self.max_sim_ns
     }
 }
 

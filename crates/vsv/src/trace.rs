@@ -324,8 +324,9 @@ impl TraceSink for NullSink {
     fn record(&mut self, _event: &TraceEvent) {}
 }
 
-/// A shareable, unbounded in-memory buffer of *typed* events: hand a
-/// clone (as a [`CaptureSink`]) to the simulator, keep one handle, and
+/// A shareable, unbounded in-memory [`TraceSink`] of *typed* events:
+/// clones share one buffer (as [`SharedBuf`] and [`ModeTrace`] do), so
+/// hand a clone to the simulator, keep one handle, and
 /// [`EventBuf::take`] the events after the run. The multicore runner
 /// uses one per core to capture each voltage domain's stream, then
 /// replays them — each headed by a [`TraceEvent::CoreStart`] marker —
@@ -334,54 +335,22 @@ impl TraceSink for NullSink {
 pub struct EventBuf(std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>);
 
 impl EventBuf {
+    fn events(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Takes the accumulated events, leaving the buffer empty.
     #[must_use]
     pub fn take(&self) -> Vec<TraceEvent> {
-        match self.0.lock() {
-            Ok(mut b) => std::mem::take(&mut *b),
-            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-        }
-    }
-
-    /// Events accumulated so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self.0.lock() {
-            Ok(b) => b.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push(&self, event: TraceEvent) {
-        match self.0.lock() {
-            Ok(mut b) => b.push(event),
-            Err(poisoned) => poisoned.into_inner().push(event),
-        }
+        std::mem::take(&mut *self.events())
     }
 }
 
-/// A [`TraceSink`] recording every event, in order, into a shared
-/// [`EventBuf`].
-#[derive(Debug, Clone, Default)]
-pub struct CaptureSink(EventBuf);
-
-impl CaptureSink {
-    /// A sink writing into `buf`.
-    #[must_use]
-    pub fn new(buf: EventBuf) -> Self {
-        CaptureSink(buf)
-    }
-}
-
-impl TraceSink for CaptureSink {
+impl TraceSink for EventBuf {
     fn record(&mut self, event: &TraceEvent) {
-        self.0.push(event.clone());
+        self.events().push(event.clone());
     }
 }
 

@@ -13,7 +13,9 @@
 
 use std::path::PathBuf;
 
-use vsv::{Experiment, FaultKind, Sweep, SweepReport, SystemConfig};
+use vsv::{
+    Experiment, FaultKind, Mode, ModeTransition, SimError, Sweep, SweepReport, SystemConfig,
+};
 use vsv_workloads::{twin, WorkloadParams};
 
 fn quick() -> Experiment {
@@ -67,6 +69,117 @@ fn budget_exhaustion_is_a_typed_error() {
     let err = e.try_run(&p, cfg).expect_err("budget too small");
     assert_eq!(err.kind(), "budget-exhausted");
     assert!(err.to_string().contains("50"), "{err}");
+}
+
+/// A 2-core `mcf` chip under the paper's controller: each core's
+/// window is watched by the same rules as a single core's, and a
+/// failure names the core (`mcf#<core>`) it happened on.
+fn chip_run(cfg: SystemConfig) -> SimError {
+    let p = twin("mcf").expect("mcf exists");
+    quick()
+        .try_run(&p, cfg.with_cores(2))
+        .expect_err("the chip window fails")
+}
+
+#[test]
+fn chip_injected_deadlock_fails_on_core_zero_before_stepping() {
+    let err = chip_run(SystemConfig::vsv_with_fsms().with_injected_fault(FaultKind::Deadlock));
+    assert_eq!(err.kind(), "deadlock");
+    assert_eq!(
+        err,
+        SimError::Deadlock {
+            at: 0,
+            committed: 0,
+            workload: "mcf#0".to_owned(),
+            mode: Mode::High,
+            recent_transitions: vec![ModeTransition {
+                at_ns: 0,
+                mode: Mode::High,
+            }],
+        }
+    );
+}
+
+#[test]
+fn chip_injected_unrecoverable_read_escalates_through_the_retry_path() {
+    let err =
+        chip_run(SystemConfig::vsv_with_fsms().with_injected_fault(FaultKind::UnrecoverableRead));
+    assert_eq!(err.kind(), "unrecoverable-read");
+    assert_eq!(
+        err,
+        SimError::UnrecoverableRead {
+            at: 148,
+            committed: 0,
+            workload: "mcf#0".to_owned(),
+            retries: 3,
+            mode: Mode::High,
+        }
+    );
+}
+
+#[test]
+fn chip_budget_is_per_window_and_names_the_core_that_ran_out() {
+    // The cold warm-up window outlasts 12 µs on core 0.
+    let err = chip_run(SystemConfig::vsv_with_fsms().with_max_sim_ns(Some(12_000)));
+    assert_eq!(err.kind(), "budget-exhausted");
+    assert_eq!(
+        err,
+        SimError::BudgetExhausted {
+            limit_ns: 12_000,
+            at: 12_000,
+            committed: 679,
+            workload: "mcf#0".to_owned(),
+        }
+    );
+    // The measured window: core 0 closes after 18262 ns, so one more
+    // ns of budget runs out on core 1 alone...
+    let err = chip_run(SystemConfig::vsv_with_fsms().with_max_sim_ns(Some(18_263)));
+    assert_eq!(
+        err,
+        SimError::BudgetExhausted {
+            limit_ns: 18_263,
+            at: 34_894,
+            committed: 4_036,
+            workload: "mcf#1".to_owned(),
+        }
+    );
+    // ... while exactly 18262 ns runs out on core 0 in the very ns it
+    // reaches its target: the budget is checked before the target.
+    let err = chip_run(SystemConfig::vsv_with_fsms().with_max_sim_ns(Some(18_262)));
+    assert_eq!(
+        err,
+        SimError::BudgetExhausted {
+            limit_ns: 18_262,
+            at: 34_893,
+            committed: 4_001,
+            workload: "mcf#0".to_owned(),
+        }
+    );
+}
+
+#[test]
+fn chip_injected_panic_is_retried_once_under_sweep() {
+    let params = twins(&["mcf"]);
+    let configs = [
+        SystemConfig::vsv_with_fsms().with_cores(2),
+        SystemConfig::vsv_with_fsms()
+            .with_cores(2)
+            .with_injected_fault(FaultKind::Panic),
+    ];
+    let report = Sweep::over_grid(quick(), &params, &configs).report(2);
+    assert_eq!(report.failed_jobs(), 1);
+    assert!(report.records[0].outcome.is_ok());
+    match &report.records[1].outcome {
+        vsv::JobOutcome::Failed { error, attempts } => {
+            assert_eq!(error.kind(), "panic");
+            assert!(
+                error.to_string().contains("injected panic fault"),
+                "panic payload is preserved: {error}"
+            );
+            assert_eq!(*attempts, 2, "panicking cells are retried once");
+        }
+        vsv::JobOutcome::Ok(_) => unreachable!("the armed cell fails"),
+    }
 }
 
 #[test]
