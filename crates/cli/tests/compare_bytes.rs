@@ -68,7 +68,7 @@ const PINNED: [(&str, u64); 8] = [
     ("policies/text", 0xd7e23bb63d296e45),
     ("ladders/text", 0x131e597350b7100a),
     ("cores/text", 0x5c63b5b0eae8ebcd),
-    ("classic/json", 0x6b060a2205e256c1),
+    ("classic/json", 0xbcbb17118c430deb),
     ("policies/json", 0x8798867fbf1564cc),
     ("ladders/json", 0xc862d43343d413c1),
     ("cores/json", 0x4c11643792f0f9e9),

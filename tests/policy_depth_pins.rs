@@ -94,20 +94,20 @@ fn observe(name: &str, policy: PolicySpec, depth: usize) -> Pin {
 /// (twin, policy, ladder depth, pinned outcome).
 #[rustfmt::skip]
 const PINS: [(&str, PolicySpec, usize, Pin); 14] = [
-    ("mcf", DualFsm, 1, pin(0x1492ec5be932309c, [34717, 164, 0, 0], 0x6c0106d52ab7f0f6)),
-    ("mcf", DualFsm, 3, pin(0xba9a390efae41628, [940, 23, 915, 331], 0x7fd92d71770879fc)),
-    ("mcf", DualFsm, 4, pin(0xb486c1a797850ca3, [958, 38, 935, 348], 0xdaa86993813cea22)),
-    ("mcf", ImmediateDown, 1, pin(0x15e3ed8f844b427a, [2687, 0, 0, 0], 0x477ba6a0fa98dff0)),
-    ("mcf", ImmediateDown, 3, pin(0xd86f0c68763d6bdd, [1761, 0, 1665, 0], 0xba0a43a4d9f7f1a0)),
-    ("mcf", ImmediateDown, 4, pin(0xe76a65a7943b2ed4, [2061, 0, 1917, 0], 0x249cc0c8cf5e1fa1)),
-    ("gzip", DualFsm, 1, pin(0x4dad47cb66e94016, [5821, 6, 0, 0], 0xa638803c21f59e3d)),
-    ("gzip", DualFsm, 3, pin(0xc45c07e18ae394ed, [139, 0, 138, 54], 0xd0a4fe3dfec65f27)),
-    ("gzip", DualFsm, 4, pin(0xd8b7c546d9887ce0, [140, 1, 139, 53], 0xf61d008dff6c4c1e)),
-    ("gzip", ImmediateDown, 1, pin(0xb8be67272a340745, [337, 0, 0, 0], 0x965c5c4121f301a3)),
-    ("gzip", ImmediateDown, 3, pin(0xeef894f5d4db76e9, [262, 0, 238, 0], 0xe98ede1393ec1620)),
-    ("gzip", ImmediateDown, 4, pin(0xa68d27db4a3a9044, [297, 0, 263, 0], 0x9fe4c3e7638fdabc)),
-    ("mcf", ErrorBackoff, 1, pin(0x1492ec5be932309c, [34717, 164, 0, 0], 0x6c0106d52ab7f0f6)),
-    ("gzip", ErrorBackoff, 1, pin(0x4dad47cb66e94016, [5821, 6, 0, 0], 0xa638803c21f59e3d)),
+    ("mcf", DualFsm, 1, pin(0xda7997c980959146, [34717, 164, 0, 0], 0x6c0106d52ab7f0f6)),
+    ("mcf", DualFsm, 3, pin(0xd155340ace93e3e0, [940, 23, 915, 331], 0x7fd92d71770879fc)),
+    ("mcf", DualFsm, 4, pin(0xcd42800fbb542812, [958, 38, 935, 348], 0xdaa86993813cea22)),
+    ("mcf", ImmediateDown, 1, pin(0x1e904ee1829003f5, [2687, 0, 0, 0], 0x477ba6a0fa98dff0)),
+    ("mcf", ImmediateDown, 3, pin(0xd038a80cd94c9f36, [1761, 0, 1665, 0], 0xba0a43a4d9f7f1a0)),
+    ("mcf", ImmediateDown, 4, pin(0xc2ee8499ec361b3c, [2061, 0, 1917, 0], 0x249cc0c8cf5e1fa1)),
+    ("gzip", DualFsm, 1, pin(0x90e5b2f7badabf1e, [5821, 6, 0, 0], 0xa638803c21f59e3d)),
+    ("gzip", DualFsm, 3, pin(0x52118f02e1818981, [139, 0, 138, 54], 0xd0a4fe3dfec65f27)),
+    ("gzip", DualFsm, 4, pin(0xe14384e7f830f00d, [140, 1, 139, 53], 0xf61d008dff6c4c1e)),
+    ("gzip", ImmediateDown, 1, pin(0xdb1448c8089f16d4, [337, 0, 0, 0], 0x965c5c4121f301a3)),
+    ("gzip", ImmediateDown, 3, pin(0xd23fc29e26a7d426, [262, 0, 238, 0], 0xe98ede1393ec1620)),
+    ("gzip", ImmediateDown, 4, pin(0x90a0d3713fdb3ebf, [297, 0, 263, 0], 0x9fe4c3e7638fdabc)),
+    ("mcf", ErrorBackoff, 1, pin(0xda7997c980959146, [34717, 164, 0, 0], 0x6c0106d52ab7f0f6)),
+    ("gzip", ErrorBackoff, 1, pin(0x90e5b2f7badabf1e, [5821, 6, 0, 0], 0xa638803c21f59e3d)),
 ];
 
 /// Every pinned cell reproduces exactly. Mismatches are collected and

@@ -66,7 +66,13 @@ fn pinned_json() -> String {
 //   (empty here — the quick sweep is single-core, which never routes
 //   through the multicore path); every simulated value is
 //   bit-identical, pinned by `tests/multicore_equivalence.rs`.
-const PINNED_DIGEST: u64 = 0xca6d_6445_370e_ad75;
+//   (0xca6d_6445_370e_ad75)
+// * window policy counts: `RunResult`'s `down_triggers`,
+//   `down_expiries`, `up_triggers` and `up_expiries` became counts of
+//   the measured window, as `tests/window_counts.rs` pins, instead of
+//   cumulative counts that included the warm-up's decisions; every
+//   other value is unchanged.
+const PINNED_DIGEST: u64 = 0x4eb4_5f42_88d1_0a98;
 
 #[test]
 fn report_json_matches_pinned_digest() {
