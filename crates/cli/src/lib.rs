@@ -625,6 +625,9 @@ per-cell failure records and the exit code is 1 (0 = all cells ok,
 --checkpoint FILE appends one JSONL record per finished cell;
 --resume FILE skips the cells already recorded there (tolerating a
 half-written final line from a crash) and re-runs only the rest.
+The file is shard 0 of a one-shard campaign: once every cell is done
+it is rewritten in grid order, and `campaign merge --shards 1` reads
+it.
 --inject-fault CELL[:KIND] arms a deterministic fault in grid cell
 CELL for exercising these paths (testing/CI); KIND is deadlock (the
 default), panic, or unrecoverable-read.
@@ -937,14 +940,14 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
                     trace_level.name()
                 ));
                 report
-            } else if let Some(path) = resume {
-                sweep
-                    .resume(workers, std::path::Path::new(&path))
-                    .map_err(|e| format!("--resume {path}: {e}"))?
-            } else if let Some(path) = checkpoint {
-                sweep
-                    .report_with_checkpoint(workers, std::path::Path::new(&path))
-                    .map_err(|e| format!("--checkpoint {path}: {e}"))?
+            } else if let Some((flag, path, fresh)) = resume
+                .map(|path| ("--resume", path, false))
+                .or(checkpoint.map(|path| ("--checkpoint", path, true)))
+            {
+                // A checkpointed sweep is shard 0 of a one-shard campaign.
+                Campaign::new(sweep, 1)
+                    .and_then(|c| c.run_shard(0, workers, std::path::Path::new(&path), fresh))
+                    .map_err(|e| format!("{flag} {path}: {e}"))?
             } else {
                 sweep.report(workers)
             };

@@ -1,10 +1,17 @@
-//! Multi-process sweep campaigns: sharding, shard execution, and the
-//! streaming O(1) merge.
+//! Shard files and multi-process sweep campaigns: sharding, shard
+//! execution with checkpoint/resume, and the streaming O(1) merge.
 //!
-//! A [`crate::Sweep`] is bounded by one process: one machine's cores,
-//! one heap holding every [`JobRecord`]. A [`Campaign`] turns the
-//! same grid into a fleet-sized object under a trivial
-//! `shard-id/total-shards` contract:
+//! A [`crate::Sweep`] runs a grid in memory. Everything that puts a
+//! grid's records in a file lives here, in one format: the JSONL
+//! *shard file*, a header line pinning the grid, the experiment scale
+//! and the file's place in a campaign, then one [`JobRecord`] line per
+//! finished cell. A checkpointed single-process sweep is shard 0 of a
+//! one-shard campaign,
+//! `Campaign::new(sweep, 1)?.run_shard(0, workers, path, fresh)`, which
+//! is what the CLI's `sweep --checkpoint` (`fresh`) and `--resume` run.
+//!
+//! A [`Campaign`] turns a grid into a fleet-sized object under a
+//! trivial `shard-id/total-shards` contract:
 //!
 //! * **plan** — the grid is partitioned into `K` shards *interleaved
 //!   by grid index*: global cell `g` belongs to shard `g % K`, and
@@ -14,14 +21,19 @@
 //!   interleaving load-balances params-major grids (consecutive
 //!   cells — the same workload under different configs — land on
 //!   different shards).
-//! * **run** — each shard executes as an *ordinary* checkpointed
-//!   sweep over its sub-grid ([`Campaign::run_shard`]), writing the
-//!   schema-v4 JSONL checkpoint whose header stamps the shard
-//!   position; killed shards resume through the existing
-//!   checkpoint/resume path. A completed shard file is *finalized*
-//!   into local grid order (records are appended in completion
-//!   order while running), which is what makes the K-way merge a
-//!   single forward pass.
+//! * **run** — [`Campaign::run_shard`] runs one shard's cells as an
+//!   ordinary in-memory sweep and appends each finished record to the
+//!   shard file as it completes, flushed per line, so a killed shard
+//!   loses at most its in-flight cells. Resuming validates the header
+//!   and every cached record against the plan, truncates a
+//!   half-written final line, and re-runs only the missing cells
+//!   (failed cells are cached too); a missing file resumes as a fresh
+//!   run. A completed shard file is then *finalized* into local grid
+//!   order with its header `wall_ns` stamped (records are appended in
+//!   completion order while running), which is what makes the K-way
+//!   merge a single forward pass. A finalized file is itself a valid
+//!   checkpoint, so re-running a finished shard rewrites identical
+//!   bytes.
 //! * **merge** — [`Campaign::merge_to_writer`] stream-reads the `K`
 //!   files in grid order (cell `g` comes from reader `g % K`),
 //!   validates each shard header and each record's workload and
@@ -34,13 +46,21 @@
 //!   cells: `K` buffered readers plus one in-flight record plus the
 //!   running aggregate — never the grid's records.
 //!
+//! Resume and merge check a file the same way: its header against the
+//! one header [`Campaign`] plans for the shard (format version, cell
+//! count, experiment scale, shard position, then the grid, where a
+//! [`CampaignError::GridMismatch`] names the first differing axis),
+//! and each record through one validator. Every failure is one
+//! [`CampaignError`].
+//!
 //! Byte fidelity rests on two properties pinned elsewhere: the JSON
 //! codec round-trips every scalar exactly (integers stay integers,
 //! floats are shortest-round-trip — `vendor/serde_json`), and struct
 //! fields serialize in declaration order, so re-serializing a parsed
 //! [`JobRecord`] reproduces the bytes the single-process writer
 //! would have produced. `tests/campaign_equivalence.rs` pins the
-//! end-to-end guarantee.
+//! end-to-end guarantee and `tests/fault_tolerance.rs` the
+//! checkpoint/resume one.
 //!
 //! Top-level `wall_ns` is the one deliberate divergence: a merged
 //! report has no single-process wall time, so it carries the **sum**
@@ -53,14 +73,12 @@
 //! wall-clock fields anyway — the determinism contract in
 //! `docs/observability.md`.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::sweep::{
-    append_line, config_digest, grid_summary_over, validate_header_against, CheckpointError,
-    CheckpointHeader, JobRecord, ReportAggregator, Sweep, SweepReport, CHECKPOINT_VERSION,
-};
+use crate::sweep::{config_digest, JobRecord, ReportAggregator, Sweep, SweepJob, SweepReport};
 
 /// A sweep grid partitioned into `K` interleaved shards.
 ///
@@ -112,7 +130,88 @@ pub struct MergeSummary {
     pub wall_ns: u64,
 }
 
-/// Why a campaign operation failed.
+/// Dimension summary of a shard's grid, carried in every shard file
+/// header. The human-readable axes (distinct workloads, policies,
+/// ladder depths, core counts, FSM policies) make a
+/// [`CampaignError::GridMismatch`] explain *which* dimension drifted;
+/// `grid_digest` pins the exact per-cell (workload, config) sequence,
+/// so two grids summarize equal iff they are cell-for-cell identical.
+#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq)]
+struct GridSummary {
+    /// Cell count (mirrors the header's `jobs`, keeping the summary
+    /// self-contained).
+    cells: usize,
+    /// Distinct workload names, sorted, comma-joined.
+    workloads: String,
+    /// Distinct DVS policy names, sorted, comma-joined.
+    policies: String,
+    /// Distinct voltage-ladder depths, sorted, comma-joined.
+    ladders: String,
+    /// Distinct core counts, sorted, comma-joined. Defaults to `"1"`
+    /// when absent (the multicore axis is newer than the summary
+    /// itself).
+    #[serde(default = "default_cores_axis")]
+    cores: String,
+    /// Distinct down/up FSM policy pairs (threshold × window), sorted,
+    /// `;`-joined.
+    fsm: String,
+    /// FNV-1a over every cell's `workload:config_digest` pair in grid
+    /// order, as 16 hex digits.
+    grid_digest: String,
+}
+
+/// Serde default for [`GridSummary::cores`]: pre-multicore grids were
+/// all single-core.
+fn default_cores_axis() -> String {
+    "1".to_owned()
+}
+
+/// First line of every shard file: the shard's place in its campaign
+/// (`0`/`1` for a plain checkpointed sweep), its cell count, the
+/// experiment scale and the [`GridSummary`]. Resume and merge reject a
+/// file whose header differs from the one planned for the shard before
+/// reading any record.
+#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq)]
+struct ShardHeader {
+    version: u32,
+    jobs: usize,
+    warmup_instructions: u64,
+    instructions: u64,
+    shard: usize,
+    shards: usize,
+    /// Host wall-clock nanoseconds of the run that produced the file:
+    /// `0` while a shard is still appending (the header is written
+    /// before any cell runs), stamped with the sum of the shard's
+    /// per-cell wall clocks when the file is finalized. **Not**
+    /// deterministic, and deliberately ignored by
+    /// [`Campaign::check_header`].
+    #[serde(default)]
+    wall_ns: u64,
+    grid: GridSummary,
+}
+
+// v2: `JobRecord` gained its `metrics` registry; v3: the `ladder`
+// depth field (N-level voltage ladders); v4: the header gained the
+// grid-dimension summary and the campaign shard contract, and
+// `SweepReport` moved `metrics` after `records` for single-pass
+// streaming merges; v5: `JobRecord` gained the `slo` outcome field
+// and the header gained the finalized shard `wall_ns`; v6: the
+// service-traffic subsystem — `SystemConfig` gained the `traffic`
+// axis (part of the config digest), `MetricsRegistry` the request
+// counters and log2 latency histogram, and `SloSpec`/`SloOutcome`/
+// `RunResult` the request-latency ceilings and percentiles; v7:
+// multicore — `SystemConfig` gained the `cores` axis (part of the
+// config digest, so every v6 digest changed), `JobRecord` the `cores`
+// field, the grid summary its `cores` dimension, and `RunResult` the
+// per-core `core_results` vector. Older files no longer round-trip
+// and are rejected by the version check.
+const CHECKPOINT_VERSION: u32 = 7;
+
+/// Placeholder path in [`CampaignError::Io`] for failures writing or
+/// re-parsing the merged document.
+const MERGE_OUTPUT: &str = "<merge output>";
+
+/// Why a campaign or shard-file operation failed.
 #[derive(Debug)]
 pub enum CampaignError {
     /// A campaign needs at least one shard.
@@ -134,17 +233,15 @@ pub enum CampaignError {
         /// Files supplied.
         found: usize,
     },
-    /// A shard run or header validation failed in the checkpoint
-    /// layer.
-    Checkpoint(CheckpointError),
-    /// Filesystem failure.
+    /// Filesystem failure (open, append, truncate, rename).
     Io {
         /// The path involved.
         path: String,
         /// The underlying error.
         error: String,
     },
-    /// A shard file line failed to parse.
+    /// A shard file line failed to parse — beyond the half-written
+    /// final line a resume tolerates.
     ShardCorrupt {
         /// The shard whose file is corrupt.
         shard: usize,
@@ -153,6 +250,21 @@ pub enum CampaignError {
         /// Parse error.
         error: String,
     },
+    /// The header does not match the shard (different format version,
+    /// cell count, experiment scale or shard position).
+    HeaderMismatch {
+        /// What differed.
+        reason: String,
+    },
+    /// The header's grid-dimension summary does not match the shard:
+    /// same cell count and scale, but a different workloads ×
+    /// policies × ladders × cores × FSM-threshold grid. Caught at the
+    /// header, before any per-record check, instead of producing a
+    /// silently misaligned report.
+    GridMismatch {
+        /// Which dimension differed, file vs. plan.
+        reason: String,
+    },
     /// A shard file ended before yielding its share of the grid.
     MissingCell {
         /// The global grid cell that has no record.
@@ -160,11 +272,12 @@ pub enum CampaignError {
         /// The shard that should have held it.
         shard: usize,
     },
-    /// A record does not belong at its position: wrong local index
-    /// (an unfinalized, completion-ordered file), wrong workload, or
-    /// wrong config digest.
+    /// A record does not belong to its shard: a local index outside
+    /// the shard, out of grid order in a file that must be finalized,
+    /// or a workload or config digest other than the grid's.
     RecordMismatch {
-        /// The global grid cell being merged.
+        /// The global grid cell the record names (or, out of grid
+        /// order, the one being read).
         cell: usize,
         /// The shard the record came from.
         shard: usize,
@@ -191,12 +304,17 @@ impl std::fmt::Display for CampaignError {
                 f,
                 "campaign merge needs exactly {expected} shard file(s), got {found}"
             ),
-            CampaignError::Checkpoint(e) => write!(f, "{e}"),
             CampaignError::Io { path, error } => {
-                write!(f, "campaign io error at {path}: {error}")
+                write!(f, "shard file io error at {path}: {error}")
             }
             CampaignError::ShardCorrupt { shard, line, error } => {
                 write!(f, "shard {shard} file corrupt at line {line}: {error}")
+            }
+            CampaignError::HeaderMismatch { reason } => {
+                write!(f, "shard file header mismatch: {reason}")
+            }
+            CampaignError::GridMismatch { reason } => {
+                write!(f, "shard file grid mismatch: {reason}")
             }
             CampaignError::MissingCell { cell, shard } => write!(
                 f,
@@ -220,9 +338,30 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-impl From<CheckpointError> for CampaignError {
-    fn from(e: CheckpointError) -> Self {
-        CampaignError::Checkpoint(e)
+/// The validated prefix of an existing shard file.
+struct LoadedShard {
+    /// Cached records by local index.
+    records: Vec<Option<JobRecord>>,
+    /// Byte length of the valid prefix (everything after is a
+    /// half-written crash tail to truncate away).
+    valid_len: u64,
+    /// Whether the valid prefix ends without a newline (a record fully
+    /// written but unterminated — the next append must start on a
+    /// fresh line).
+    needs_newline: bool,
+    /// Whether a valid header line was found.
+    has_header: bool,
+}
+
+impl LoadedShard {
+    /// No header and no cached cells: a fresh run of `cells` cells.
+    fn empty(cells: usize) -> Self {
+        LoadedShard {
+            records: vec![None; cells],
+            valid_len: 0,
+            needs_newline: false,
+            has_header: false,
+        }
     }
 }
 
@@ -279,6 +418,12 @@ impl Campaign {
         Ok(())
     }
 
+    /// `shard`'s jobs in local grid order: a strided view of the full
+    /// grid (local cell `j` is global cell `shard + j·K`).
+    fn shard_jobs(&self, shard: usize) -> impl Iterator<Item = &SweepJob> + '_ {
+        self.sweep.jobs().iter().skip(shard).step_by(self.shards)
+    }
+
     /// The ordinary [`Sweep`] over `shard`'s cells, in local grid
     /// order (local cell `j` is global cell `shard + j·K`).
     ///
@@ -287,33 +432,33 @@ impl Campaign {
     /// [`CampaignError::ShardOutOfRange`] if `shard >= shards`.
     pub fn shard_sweep(&self, shard: usize) -> Result<Sweep, CampaignError> {
         self.check_shard(shard)?;
-        let jobs = self
-            .sweep
-            .jobs()
-            .iter()
-            .skip(shard)
-            .step_by(self.shards)
-            .copied()
-            .collect();
+        let jobs = self.shard_jobs(shard).copied().collect();
         Ok(Sweep::new(self.sweep.experiment, jobs))
     }
 
-    /// Runs (or resumes) one shard as a checkpointed sweep writing to
-    /// `path`, then finalizes the file into local grid order so the
-    /// merge can consume it in one forward pass.
+    /// Runs (or resumes) one shard, appending each finished record to
+    /// the shard file at `path`, then finalizes the file into local
+    /// grid order so the merge can consume it in one forward pass.
     ///
-    /// With `fresh` false (the default campaign behavior), an
-    /// existing file at `path` is resumed through the standard
-    /// checkpoint validation — a finalized complete file is a valid
-    /// checkpoint, so re-running a finished shard is an idempotent
-    /// no-op (cells are cached, the file is re-finalized). With
-    /// `fresh` true the file is recreated and every cell re-runs.
+    /// With `fresh` true the file is created (or truncated) and every
+    /// cell runs. With `fresh` false an existing file is resumed: its
+    /// header and every cached record are validated against this
+    /// shard, a half-written final line is truncated away, and only
+    /// the missing cells run. A missing or empty file resumes as a
+    /// fresh run, and a finalized complete file is a valid checkpoint,
+    /// so re-running a finished shard is an idempotent no-op (cells
+    /// are cached, the file is re-finalized). The report is
+    /// bit-identical, wall-clock fields aside, to an uninterrupted run.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::ShardOutOfRange`], or any
-    /// [`CampaignError::Checkpoint`]/[`CampaignError::Io`] from the
-    /// run or the finalize rewrite.
+    /// [`CampaignError::ShardOutOfRange`]; a
+    /// [`CampaignError::ShardCorrupt`] non-final line; a
+    /// [`CampaignError::HeaderMismatch`],
+    /// [`CampaignError::GridMismatch`] or
+    /// [`CampaignError::RecordMismatch`] when the file belongs to
+    /// another grid; or [`CampaignError::Io`] from the run or the
+    /// finalize rewrite.
     pub fn run_shard(
         &self,
         shard: usize,
@@ -322,14 +467,44 @@ impl Campaign {
         fresh: bool,
     ) -> Result<SweepReport, CampaignError> {
         let sub = self.shard_sweep(shard)?;
-        let report = if fresh {
-            sub.report_with_checkpoint_sharded(workers, path, shard, self.shards)?
+        let (file, loaded) = if fresh {
+            let file = std::fs::File::create(path).map_err(|e| io_err(path, e))?;
+            (file, LoadedShard::empty(sub.len()))
         } else {
-            sub.resume_sharded(workers, path, shard, self.shards)?
+            self.reopen_shard_file(shard, path)?
         };
+        let mut writer = std::io::BufWriter::new(file);
+        if !loaded.has_header {
+            append_line(&mut writer, &self.shard_header(shard)).map_err(|e| io_err(path, e))?;
+        }
+        // Stream each fresh record to the file as it finishes; keep the
+        // first write error and report it once the grid is done.
+        let sink = Mutex::new((writer, None::<String>));
+        let (report, _) = sub.run_grid(
+            workers,
+            loaded.records,
+            &|record| {
+                let mut guard = match sink.lock() {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                let (writer, first_error) = &mut *guard;
+                if first_error.is_none() {
+                    *first_error = append_line(writer, record).err();
+                }
+            },
+            None,
+        );
+        let (_, error) = match sink.into_inner() {
+            Ok(pair) => pair,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if let Some(e) = error {
+            return Err(io_err(path, e));
+        }
         // Stamp the sum of the per-cell wall clocks (cached in the
-        // checkpoint), not the run's elapsed time: resuming a
-        // finished shard must rewrite identical bytes.
+        // file), not the run's elapsed time: resuming a finished shard
+        // must rewrite identical bytes.
         let wall_ns = report
             .records
             .iter()
@@ -338,16 +513,94 @@ impl Campaign {
         Ok(report)
     }
 
-    /// Writes a complete, finalized shard file: the v5 header (with
+    /// Opens `shard`'s file for a resumed run: loads and validates its
+    /// readable prefix, truncates the crash tail and positions the
+    /// handle for appending. A missing file loads as empty.
+    fn reopen_shard_file(
+        &self,
+        shard: usize,
+        path: &Path,
+    ) -> Result<(std::fs::File, LoadedShard), CampaignError> {
+        let content = match std::fs::read_to_string(path) {
+            Ok(c) => c,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(io_err(path, e)),
+        };
+        let loaded = self.load_shard_file(shard, &content)?;
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            // Deliberately not `truncate(true)`: the valid prefix must
+            // survive; `set_len` below trims only the crash tail.
+            .truncate(false)
+            .open(path)
+            .map_err(|e| io_err(path, e))?;
+        file.set_len(loaded.valid_len)
+            .map_err(|e| io_err(path, e))?;
+        file.seek(std::io::SeekFrom::End(0))
+            .map_err(|e| io_err(path, e))?;
+        if loaded.needs_newline {
+            file.write_all(b"\n").map_err(|e| io_err(path, e))?;
+        }
+        Ok((file, loaded))
+    }
+
+    /// Parses and validates the readable prefix of `shard`'s file.
+    /// Records may come in any order (a running shard appends them as
+    /// they complete); duplicates, possible after repeated crash and
+    /// resume cycles, resolve to the last.
+    fn load_shard_file(&self, shard: usize, content: &str) -> Result<LoadedShard, CampaignError> {
+        let mut loaded = LoadedShard::empty(self.shard_len(shard));
+        let chunks: Vec<&str> = content.split_inclusive('\n').collect();
+        for (idx, chunk) in chunks.iter().enumerate() {
+            let terminated = chunk.ends_with('\n');
+            let is_tail = idx + 1 == chunks.len() && !terminated;
+            let line = chunk.trim_end_matches(['\n', '\r']);
+            if line.is_empty() {
+                loaded.valid_len += chunk.len() as u64;
+                continue;
+            }
+            let corrupt = |e: serde_json::Error| CampaignError::ShardCorrupt {
+                shard,
+                line: idx + 1,
+                error: e.to_string(),
+            };
+            if !loaded.has_header {
+                match serde_json::from_str::<ShardHeader>(line) {
+                    Ok(header) => self.check_header(shard, &header)?,
+                    // A crash mid-header: drop it and start fresh.
+                    Err(_) if is_tail => return Ok(loaded),
+                    Err(e) => return Err(corrupt(e)),
+                }
+                loaded.has_header = true;
+            } else {
+                match serde_json::from_str::<JobRecord>(line) {
+                    Ok(record) => {
+                        self.validate_record(shard, &record, None)?;
+                        let local = record.job;
+                        loaded.records[local] = Some(record);
+                    }
+                    // The half-written line a kill can leave behind;
+                    // the cell simply re-runs.
+                    Err(_) if is_tail => return Ok(loaded),
+                    Err(e) => return Err(corrupt(e)),
+                }
+            }
+            loaded.valid_len += chunk.len() as u64;
+            loaded.needs_newline = !terminated;
+        }
+        Ok(loaded)
+    }
+
+    /// Writes a complete, finalized shard file: the header (with
     /// `wall_ns` stamped into it — normally the sum of the shard's
     /// per-cell wall clocks, which the merge sums into the merged
     /// report's top-level `wall_ns`) followed by one compact JSONL
-    /// [`JobRecord`] line
-    /// per cell in local grid order, atomically (written to
-    /// `<path>.tmp`, then renamed). Each record is validated against
-    /// the planned grid before writing — this is also how the memory
-    /// benchmark synthesizes large shard files without simulating
-    /// every cell.
+    /// [`JobRecord`] line per cell in local grid order, atomically
+    /// (written to `<path>.tmp`, then renamed). Each record is
+    /// validated against the planned grid before writing — this is
+    /// also how the memory benchmark synthesizes large shard files
+    /// without simulating every cell.
     ///
     /// # Errors
     ///
@@ -373,35 +626,32 @@ impl Campaign {
             return Err(CampaignError::TrailingData { shard });
         }
         for (j, record) in records.iter().enumerate() {
-            let cell = shard + j * self.shards;
-            self.validate_shard_record(record, j, cell, shard)?;
+            self.validate_record(shard, record, Some(j))?;
         }
         let tmp = path.with_file_name(match path.file_name().and_then(|n| n.to_str()) {
             Some(name) => format!("{name}.tmp"),
             None => "shard.tmp".to_owned(),
         });
-        let file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
+        let file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
         let mut writer = std::io::BufWriter::new(file);
         let mut header = self.shard_header(shard);
         header.wall_ns = wall_ns;
-        append_line(&mut writer, &header).map_err(|e| io_string_err(&tmp, &e))?;
+        append_line(&mut writer, &header).map_err(|e| io_err(&tmp, e))?;
         for record in records {
-            append_line(&mut writer, record).map_err(|e| io_string_err(&tmp, &e))?;
+            append_line(&mut writer, record).map_err(|e| io_err(&tmp, e))?;
         }
         drop(writer);
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, &e))?;
+        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
         Ok(())
     }
 
-    /// The v5 checkpoint header `shard`'s file must carry — computed
-    /// from a strided *view* of the full grid, identical to what
-    /// [`Campaign::shard_sweep`]'s own checkpoint run stamps, but
-    /// without cloning the shard's jobs (`wall_ns` is left `0`;
-    /// validation ignores it and the finalize rewrite stamps the real
-    /// value). The merge validates `K` of these, so borrowing keeps
-    /// merge memory free of grid copies.
-    fn shard_header(&self, shard: usize) -> CheckpointHeader {
-        CheckpointHeader {
+    /// The header `shard`'s file must carry, computed from a strided
+    /// *view* of the full grid without cloning the shard's jobs
+    /// (`wall_ns` is left `0`; validation ignores it and the finalize
+    /// rewrite stamps the real value). The merge checks `K` of these,
+    /// so borrowing keeps merge memory free of grid copies.
+    fn shard_header(&self, shard: usize) -> ShardHeader {
+        ShardHeader {
             version: CHECKPOINT_VERSION,
             jobs: self.shard_len(shard),
             warmup_instructions: self.sweep.experiment.warmup_instructions,
@@ -409,50 +659,103 @@ impl Campaign {
             shard,
             shards: self.shards,
             wall_ns: 0,
-            grid: grid_summary_over(
-                self.sweep
-                    .jobs()
-                    .iter()
-                    .skip(shard)
-                    .step_by(self.shards.max(1)),
-            ),
+            grid: grid_summary(self.shard_jobs(shard)),
         }
     }
 
-    /// Validates that `record` (with local index `local`) belongs at
-    /// global grid cell `cell`.
-    fn validate_shard_record(
+    /// Checks a parsed header against [`Campaign::shard_header`]:
+    /// version, cell count, experiment scale and shard position
+    /// mismatches are [`CampaignError::HeaderMismatch`]; a grid
+    /// divergence is [`CampaignError::GridMismatch`], naming the first
+    /// differing axis.
+    fn check_header(&self, shard: usize, found: &ShardHeader) -> Result<(), CampaignError> {
+        let expected = self.shard_header(shard);
+        let mismatch = |what: &str, found: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
+            Err(CampaignError::HeaderMismatch {
+                reason: format!("file has {what} {found:?}, grid expects {want:?}"),
+            })
+        };
+        if found.version != expected.version {
+            return mismatch("version", &found.version, &expected.version);
+        }
+        if found.jobs != expected.jobs {
+            return mismatch("jobs", &found.jobs, &expected.jobs);
+        }
+        let scale = |h: &ShardHeader| (h.warmup_instructions, h.instructions);
+        if scale(found) != scale(&expected) {
+            return mismatch("scale", &scale(found), &scale(&expected));
+        }
+        if (found.shard, found.shards) != (expected.shard, expected.shards) {
+            return mismatch(
+                "shard",
+                &format!("{}/{}", found.shard, found.shards),
+                &format!("{}/{}", expected.shard, expected.shards),
+            );
+        }
+        if found.grid != expected.grid {
+            return Err(CampaignError::GridMismatch {
+                reason: grid_diff(&found.grid, &expected.grid),
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks that `record` belongs to `shard`: its local index lies
+    /// in the shard, and it names the grid's workload and config
+    /// digest for that cell. `at` is the local position the record was
+    /// read at when the file must be in grid order (a finalized file,
+    /// as the merge and the finalize rewrite require); `None` accepts
+    /// any order (a running shard appends in completion order).
+    fn validate_record(
         &self,
-        record: &JobRecord,
-        local: usize,
-        cell: usize,
         shard: usize,
+        record: &JobRecord,
+        at: Option<usize>,
     ) -> Result<(), CampaignError> {
-        let mismatch = |reason: String| CampaignError::RecordMismatch {
+        let cell = shard.saturating_add(record.job.saturating_mul(self.shards));
+        let mismatch = |cell: usize, reason: String| CampaignError::RecordMismatch {
             cell,
             shard,
             reason,
         };
-        if record.job != local {
-            return Err(mismatch(format!(
-                "local index {} where {local} belongs (file not in grid order — \
-                 finalize incomplete?)",
-                record.job
-            )));
+        if let Some(local) = at.filter(|&local| local != record.job) {
+            return Err(mismatch(
+                shard + local * self.shards,
+                format!(
+                    "local index {} where {local} belongs (file not in grid order — \
+                     finalize incomplete?)",
+                    record.job
+                ),
+            ));
         }
-        let job = &self.sweep.jobs()[cell];
+        let Some(job) = self.sweep.jobs().get(cell) else {
+            return Err(mismatch(
+                cell,
+                format!(
+                    "local index {} outside the shard's {} cell(s)",
+                    record.job,
+                    self.shard_len(shard)
+                ),
+            ));
+        };
         if record.workload != job.params.name {
-            return Err(mismatch(format!(
-                "workload {:?}, grid has {:?}",
-                record.workload, job.params.name
-            )));
+            return Err(mismatch(
+                cell,
+                format!(
+                    "workload {:?}, grid has {:?}",
+                    record.workload, job.params.name
+                ),
+            ));
         }
         let expected = config_digest(&job.config);
         if record.config_digest != expected {
-            return Err(mismatch(format!(
-                "config digest {}, grid has {expected}",
-                record.config_digest
-            )));
+            return Err(mismatch(
+                cell,
+                format!(
+                    "config digest {}, grid has {expected}",
+                    record.config_digest
+                ),
+            ));
         }
         Ok(())
     }
@@ -497,19 +800,19 @@ impl Campaign {
                 line: 0,
                 error: "empty file (missing header line)".to_owned(),
             })?;
-            let header: CheckpointHeader =
+            let header: ShardHeader =
                 serde_json::from_str(&line).map_err(|e| CampaignError::ShardCorrupt {
                     shard,
                     line: reader.lineno,
                     error: e.to_string(),
                 })?;
-            validate_header_against(&self.shard_header(shard), &header)?;
+            self.check_header(shard, &header)?;
             total_wall_ns = total_wall_ns.saturating_add(header.wall_ns);
             readers.push(reader);
         }
         let cells = self.sweep.len();
-        // Mirrors the `run_grid` clamp so the stamped field matches a
-        // single-process run handed the same worker count.
+        // Mirrors the `Sweep::run_grid` clamp so the stamped field
+        // matches a single-process run handed the same worker count.
         let workers = opts.workers.max(1).min(cells.max(1));
         let mut aggregate = ReportAggregator::new();
         write_fmt(out, format_args!("{{\n  \"jobs\": {cells},"))?;
@@ -527,7 +830,7 @@ impl Campaign {
                     line: readers[shard].lineno,
                     error: e.to_string(),
                 })?;
-            self.validate_shard_record(&record, cell / self.shards, cell, shard)?;
+            self.validate_record(shard, &record, Some(cell / self.shards))?;
             record.job = cell;
             aggregate.fold(&record);
             let pretty =
@@ -553,11 +856,8 @@ impl Campaign {
             write_fmt(out, format_args!("\n  "))?;
         }
         write_fmt(out, format_args!("],\n  \"metrics\": "))?;
-        let metrics_pretty =
-            serde_json::to_string_pretty(aggregate.metrics()).map_err(|e| CampaignError::Io {
-                path: "<merge output>".to_owned(),
-                error: e.to_string(),
-            })?;
+        let metrics_pretty = serde_json::to_string_pretty(aggregate.metrics())
+            .map_err(|e| io_err(Path::new(MERGE_OUTPUT), e))?;
         write_block(out, &metrics_pretty, "  ")?;
         write_fmt(out, format_args!("\n}}"))?;
         Ok(MergeSummary {
@@ -579,10 +879,10 @@ impl Campaign {
         opts: &MergeOptions,
         out_path: &Path,
     ) -> Result<MergeSummary, CampaignError> {
-        let file = std::fs::File::create(out_path).map_err(|e| io_err(out_path, &e))?;
+        let file = std::fs::File::create(out_path).map_err(|e| io_err(out_path, e))?;
         let mut writer = std::io::BufWriter::new(file);
         let summary = self.merge_to_writer(inputs, opts, &mut writer)?;
-        writer.flush().map_err(|e| io_err(out_path, &e))?;
+        writer.flush().map_err(|e| io_err(out_path, e))?;
         Ok(summary)
     }
 
@@ -601,10 +901,7 @@ impl Campaign {
     ) -> Result<(String, MergeSummary), CampaignError> {
         let mut buf = Vec::new();
         let summary = self.merge_to_writer(inputs, opts, &mut buf)?;
-        let text = String::from_utf8(buf).map_err(|e| CampaignError::Io {
-            path: "<merge output>".to_owned(),
-            error: e.to_string(),
-        })?;
+        let text = String::from_utf8(buf).map_err(|e| io_err(Path::new(MERGE_OUTPUT), e))?;
         Ok((text, summary))
     }
 
@@ -624,28 +921,95 @@ impl Campaign {
         opts: &MergeOptions,
     ) -> Result<(SweepReport, MergeSummary), CampaignError> {
         let (text, summary) = self.merge_to_string(inputs, opts)?;
-        let report: SweepReport = serde_json::from_str(&text).map_err(|e| CampaignError::Io {
-            path: "<merge output>".to_owned(),
-            error: e.to_string(),
-        })?;
+        let report: SweepReport =
+            serde_json::from_str(&text).map_err(|e| io_err(Path::new(MERGE_OUTPUT), e))?;
         Ok((report, summary))
     }
+}
+
+/// [`GridSummary`] of a job sequence. Borrowing the jobs matters: the
+/// merge checks one shard header per input file against a strided
+/// view of the full grid, and materializing each shard's sweep just
+/// to summarize it would spike merge memory by a full grid copy.
+fn grid_summary<'a>(jobs: impl Iterator<Item = &'a SweepJob>) -> GridSummary {
+    use std::collections::BTreeSet;
+    let mut cells = 0;
+    let mut workloads = BTreeSet::new();
+    let mut policies = BTreeSet::new();
+    let mut ladders = BTreeSet::new();
+    let mut cores = BTreeSet::new();
+    let mut fsm = BTreeSet::new();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for job in jobs {
+        cells += 1;
+        workloads.insert(job.params.name.to_owned());
+        policies.insert(job.config.policy_name().to_owned());
+        ladders.insert(job.config.vsv.ladder.depth());
+        cores.insert(job.config.cores);
+        fsm.insert(format!("{:?}/{:?}", job.config.vsv.down, job.config.vsv.up));
+        for b in job
+            .params
+            .name
+            .bytes()
+            .chain([b':'])
+            .chain(config_digest(&job.config).bytes())
+            .chain([b'\n'])
+        {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn join<T: ToString>(set: BTreeSet<T>, sep: &str) -> String {
+        set.iter().map(T::to_string).collect::<Vec<_>>().join(sep)
+    }
+    GridSummary {
+        cells,
+        workloads: join(workloads, ","),
+        policies: join(policies, ","),
+        ladders: join(ladders, ","),
+        cores: join(cores, ","),
+        fsm: join(fsm, ";"),
+        grid_digest: format!("{h:016x}"),
+    }
+}
+
+/// First differing dimension of two grid summaries, file vs. plan,
+/// for the [`CampaignError::GridMismatch`] message.
+fn grid_diff(found: &GridSummary, expected: &GridSummary) -> String {
+    let axes = [
+        ("workloads", &found.workloads, &expected.workloads),
+        ("policies", &found.policies, &expected.policies),
+        ("ladder depths", &found.ladders, &expected.ladders),
+        ("core counts", &found.cores, &expected.cores),
+        ("fsm policies", &found.fsm, &expected.fsm),
+        (
+            "per-cell configuration digest chain",
+            &found.grid_digest,
+            &expected.grid_digest,
+        ),
+    ];
+    for (axis, f, e) in axes {
+        if f != e {
+            return format!("file grid has {axis} [{f}], grid expects [{e}]");
+        }
+    }
+    format!("file grid summary {found:?}, grid expects {expected:?}")
 }
 
 /// One shard file being consumed line-at-a-time.
 struct ShardReader {
     shard: usize,
-    path: String,
+    path: PathBuf,
     reader: std::io::BufReader<std::fs::File>,
     lineno: usize,
 }
 
 impl ShardReader {
     fn open(shard: usize, path: &Path) -> Result<Self, CampaignError> {
-        let file = std::fs::File::open(path).map_err(|e| io_err(path, &e))?;
+        let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
         Ok(ShardReader {
             shard,
-            path: path.display().to_string(),
+            path: path.to_owned(),
             reader: std::io::BufReader::new(file),
             lineno: 0,
         })
@@ -658,10 +1022,7 @@ impl ShardReader {
             let n = self
                 .reader
                 .read_line(&mut line)
-                .map_err(|e| CampaignError::Io {
-                    path: self.path.clone(),
-                    error: e.to_string(),
-                })?;
+                .map_err(|e| io_err(&self.path, e))?;
             if n == 0 {
                 return Ok(None);
             }
@@ -673,6 +1034,16 @@ impl ShardReader {
             }
         }
     }
+}
+
+/// Serializes `value` as one JSONL line and flushes it.
+fn append_line<T: serde::Serialize>(
+    writer: &mut std::io::BufWriter<std::fs::File>,
+    value: &T,
+) -> Result<(), String> {
+    let json = serde_json::to_string(value).map_err(|e| e.to_string())?;
+    writeln!(writer, "{json}").map_err(|e| e.to_string())?;
+    writer.flush().map_err(|e| e.to_string())
 }
 
 /// Writes a pretty-printed sub-document produced at depth 0,
@@ -691,30 +1062,19 @@ fn write_block<W: Write>(out: &mut W, pretty: &str, indent: &str) -> Result<(), 
 }
 
 fn write_bytes<W: Write>(out: &mut W, bytes: &[u8]) -> Result<(), CampaignError> {
-    out.write_all(bytes).map_err(|e| CampaignError::Io {
-        path: "<merge output>".to_owned(),
-        error: e.to_string(),
-    })
+    out.write_all(bytes)
+        .map_err(|e| io_err(Path::new(MERGE_OUTPUT), e))
 }
 
 fn write_fmt<W: Write>(out: &mut W, args: std::fmt::Arguments<'_>) -> Result<(), CampaignError> {
-    out.write_fmt(args).map_err(|e| CampaignError::Io {
-        path: "<merge output>".to_owned(),
-        error: e.to_string(),
-    })
+    out.write_fmt(args)
+        .map_err(|e| io_err(Path::new(MERGE_OUTPUT), e))
 }
 
-fn io_err(path: &Path, e: &std::io::Error) -> CampaignError {
+fn io_err(path: &Path, error: impl std::fmt::Display) -> CampaignError {
     CampaignError::Io {
         path: path.display().to_string(),
-        error: e.to_string(),
-    }
-}
-
-fn io_string_err(path: &Path, e: &str) -> CampaignError {
-    CampaignError::Io {
-        path: path.display().to_string(),
-        error: e.to_owned(),
+        error: error.to_string(),
     }
 }
 
@@ -793,6 +1153,93 @@ mod tests {
             }) => {}
             other => panic!("expected ShardOutOfRange, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_header_check_names_what_differs() {
+        let campaign = Campaign::new(tiny_sweep(), 2).expect("2 shards");
+        let planned = campaign.shard_header(1);
+        type Edit = fn(&mut ShardHeader);
+        let check = |edit: Edit| {
+            let mut header = planned.clone();
+            edit(&mut header);
+            campaign.check_header(1, &header)
+        };
+        assert!(check(|_| {}).is_ok());
+        assert!(check(|h| h.wall_ns = 42).is_ok(), "wall_ns is not checked");
+        let scalar: [(&str, Edit); 4] = [
+            ("version", |h| h.version += 1),
+            ("jobs", |h| h.jobs += 1),
+            ("scale", |h| h.instructions += 1),
+            ("shard", |h| h.shard = 0),
+        ];
+        for (what, edit) in scalar {
+            match check(edit) {
+                Err(CampaignError::HeaderMismatch { reason }) => {
+                    assert!(reason.starts_with(&format!("file has {what} ")), "{reason}");
+                }
+                other => panic!("{what}: expected HeaderMismatch, got {other:?}"),
+            }
+        }
+        // The first differing axis is named, down to the per-cell
+        // digest chain when every axis agrees.
+        let grid: [(&str, Edit); 2] = [
+            ("policies", |h| {
+                h.grid.policies = "always-low".to_owned();
+                h.grid.fsm = "other".to_owned();
+            }),
+            ("per-cell configuration digest chain", |h| {
+                h.grid.grid_digest = "0".repeat(16);
+            }),
+        ];
+        for (axis, edit) in grid {
+            match check(edit) {
+                Err(CampaignError::GridMismatch { reason }) => {
+                    assert!(
+                        reason.starts_with(&format!("file grid has {axis} ")),
+                        "{reason}"
+                    );
+                }
+                other => panic!("{axis}: expected GridMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn one_validator_checks_index_order_workload_and_digest() {
+        let campaign = Campaign::new(tiny_sweep(), 2).expect("2 shards");
+        // Shard 1 owns cells 1 and 3; its local cell 1 is cell 3.
+        let mut record = campaign.sweep().report(1).records[3].clone();
+        record.job = 1;
+        assert!(campaign.validate_record(1, &record, None).is_ok());
+        assert!(campaign.validate_record(1, &record, Some(1)).is_ok());
+        let reject =
+            |record: &JobRecord, at: Option<usize>| match campaign.validate_record(1, record, at) {
+                Err(CampaignError::RecordMismatch {
+                    cell,
+                    shard: 1,
+                    reason,
+                }) => (cell, reason),
+                other => panic!("expected RecordMismatch, got {other:?}"),
+            };
+        let (cell, reason) = reject(&record, Some(0));
+        assert_eq!(cell, 1);
+        assert!(reason.contains("not in grid order"), "{reason}");
+        let mut outside = record.clone();
+        outside.job = 2;
+        let (cell, reason) = reject(&outside, None);
+        assert_eq!(cell, 5);
+        assert!(reason.contains("outside the shard's 2 cell(s)"), "{reason}");
+        let mut renamed = record.clone();
+        renamed.workload = "gzip".to_owned();
+        let (cell, reason) = reject(&renamed, None);
+        assert_eq!(cell, 3);
+        assert!(reason.starts_with("workload"), "{reason}");
+        let mut tampered = record;
+        tampered.config_digest = "deadbeefdeadbeef".to_owned();
+        let (cell, reason) = reject(&tampered, None);
+        assert_eq!(cell, 3);
+        assert!(reason.starts_with("config digest"), "{reason}");
     }
 
     #[test]

@@ -30,13 +30,14 @@
 //!   power + controller on one nanosecond clock);
 //! * [`runner`]/[`report`] — experiment driving and the paper's
 //!   metrics (performance degradation %, power saving %);
-//! * [`sweep`] — parallel deterministic execution of experiment
-//!   grids (every table/figure is one [`Sweep`]), with per-cell
-//!   fault isolation and JSONL checkpoint/resume;
-//! * [`campaign`] — multi-process scale-out of a sweep: a grid
-//!   partitioned into K interleaved shards, each run as an ordinary
-//!   checkpointed sweep process, stream-merged back into a report
-//!   bit-identical to the single-process run with O(1) merge memory;
+//! * [`sweep`] — parallel deterministic in-memory execution of
+//!   experiment grids (every table/figure is one [`Sweep`]), with
+//!   per-cell fault isolation;
+//! * [`campaign`] — the JSONL shard file and multi-process scale-out
+//!   of a sweep: a grid partitioned into K interleaved shards, each
+//!   appending to and resuming from its own file, stream-merged back
+//!   into a report bit-identical to the single-process run with O(1)
+//!   merge memory (a checkpointed sweep is a one-shard campaign);
 //! * [`error`] — the typed failure taxonomy ([`SimError`]) behind
 //!   the fault-tolerant sweep contract;
 //! * [`trace`]/[`metrics`] — structured observability: typed
@@ -99,8 +100,6 @@ pub use policy::{
 };
 pub use report::{mean_comparison, Comparison, RunResult, SloOutcome, SloSpec};
 pub use runner::{ComparisonSpread, Experiment};
-#[cfg(feature = "serde")]
-pub use sweep::CheckpointError;
 pub use sweep::{
     config_digest, default_workers, resolve_workers, JobOutcome, JobRecord, ReportAggregator,
     Sweep, SweepJob, SweepReport,

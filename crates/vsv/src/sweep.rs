@@ -21,26 +21,14 @@
 //! exhausted budgets). The report always covers the whole grid, with
 //! per-cell failures as data — `tests/fault_tolerance.rs` pins that.
 //!
-//! # Checkpoint / resume
+//! # Files
 //!
-//! [`Sweep::report_with_checkpoint`] appends one JSONL line per
-//! finished job to a checkpoint file (after a header pinning the grid
-//! shape, grid dimensions, and experiment scale); [`Sweep::resume`]
-//! validates the header and each record's config digest, skips
-//! completed cells (tolerating a half-written final line from a
-//! crash), re-runs the rest, and returns a [`SweepReport`]
-//! bit-identical — wall-clock fields aside — to an uninterrupted run.
-//! A checkpoint whose grid *dimensions* (workloads × policies ×
-//! ladders × FSM thresholds) disagree with the sweep is rejected with
-//! the typed [`CheckpointError::GridMismatch`] before any per-record
-//! digest check.
-//!
-//! The same checkpoint format (schema v4, which added the grid
-//! summary and the `shard`/`shards` pair to the header) is the wire
-//! format of multi-process campaigns: [`crate::campaign`] partitions
-//! a grid into K interleaved shards, runs each as an ordinary
-//! checkpointed sweep process, and stream-merges the K files back
-//! into one [`SweepReport`] bit-identical to the single-process run.
+//! A sweep runs in memory. Putting its records in a file is
+//! [`crate::campaign`]'s job, in one JSONL format, the shard file: a
+//! checkpointed sweep is shard 0 of a one-shard [`crate::Campaign`],
+//! whose [`crate::Campaign::run_shard`] appends one record per finished
+//! cell through this module's engine and resumes an interrupted run
+//! bit-identically, wall-clock fields aside.
 //!
 //! Worker count comes from the caller, the `VSV_WORKERS` environment
 //! variable, or the host's available parallelism, in that order — see
@@ -116,9 +104,9 @@ impl JobOutcome {
     }
 }
 
-/// Everything recorded about one finished job. This is the unit the
-/// progress callback sees, the row type of [`SweepReport`], and the
-/// line type of the JSONL checkpoint.
+/// Everything recorded about one finished job: the row type of
+/// [`SweepReport`] and the line type of a shard file (see
+/// [`crate::campaign`]).
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
@@ -465,8 +453,8 @@ impl Sweep {
     }
 
     /// Runs the grid on `workers` threads and returns the bare
-    /// results in grid order. See [`Sweep::run_with_progress`] for
-    /// the execution model.
+    /// results in grid order. See [`Sweep::report`] for the execution
+    /// model.
     ///
     /// # Panics
     ///
@@ -474,20 +462,12 @@ impl Sweep {
     /// use [`Sweep::report`] to handle per-cell failures as data.
     #[must_use]
     pub fn run(&self, workers: usize) -> Vec<RunResult> {
-        self.run_with_progress(workers, |_| {}).into_results()
-    }
-
-    /// Runs the grid and returns the full [`SweepReport`] without
-    /// progress reporting.
-    #[must_use]
-    pub fn report(&self, workers: usize) -> SweepReport {
-        self.run_with_progress(workers, |_| {})
+        self.report(workers).into_results()
     }
 
     /// Runs the grid on `workers` scoped threads pulling jobs from a
-    /// shared atomic counter, invoking `progress` once per finished
-    /// job (from the worker that finished it, in completion — not
-    /// grid — order), and returns records in grid order.
+    /// shared atomic counter and returns the full [`SweepReport`],
+    /// records in grid order.
     ///
     /// Determinism: each job's [`RunResult`] depends only on its
     /// `(params, config)` and the experiment scale — every simulator
@@ -503,14 +483,9 @@ impl Sweep {
     /// `workers` is clamped to `[1, len()]` (a degenerate clamp of 1
     /// for an empty grid).
     #[must_use]
-    pub fn run_with_progress<F>(&self, workers: usize, progress: F) -> SweepReport
-    where
-        F: Fn(&JobRecord) + Sync,
-    {
-        let preloaded = std::iter::repeat_with(|| None)
-            .take(self.jobs.len())
-            .collect();
-        self.run_grid(workers, preloaded, &|r| progress(r))
+    pub fn report(&self, workers: usize) -> SweepReport {
+        self.run_grid(workers, vec![None; self.len()], &|_| {}, None)
+            .0
     }
 
     /// Runs the grid with per-job JSONL traces at `level`: alongside
@@ -524,29 +499,17 @@ impl Sweep {
     #[cfg(feature = "serde")]
     #[must_use]
     pub fn report_traced(&self, workers: usize, level: TraceLevel) -> (SweepReport, Vec<Vec<u8>>) {
-        let preloaded = std::iter::repeat_with(|| None)
-            .take(self.jobs.len())
-            .collect();
-        self.run_grid_traced(workers, preloaded, &|_| {}, Some(level))
+        self.run_grid(workers, vec![None; self.len()], &|_| {}, Some(level))
     }
 
-    /// The shared execution engine: runs every grid index whose
-    /// `preloaded` slot is `None`, invokes `on_record` for each newly
-    /// finished job, and assembles the full grid-ordered report from
-    /// cached plus fresh records.
-    fn run_grid(
-        &self,
-        workers: usize,
-        preloaded: Vec<Option<JobRecord>>,
-        on_record: &(dyn Fn(&JobRecord) + Sync),
-    ) -> SweepReport {
-        self.run_grid_traced(workers, preloaded, on_record, None).0
-    }
-
-    /// [`Sweep::run_grid`] plus optional per-job JSONL tracing: with
-    /// `trace` set, each freshly-run job also produces its trace
-    /// bytes (grid-ordered, empty for preloaded or failed cells).
-    fn run_grid_traced(
+    /// The execution engine: runs every grid index whose `preloaded`
+    /// slot is `None`, invokes `on_record` for each newly finished job
+    /// (from the worker that finished it, in completion order — how a
+    /// shard file appends), and assembles the full grid-ordered report
+    /// from cached plus fresh records. With `trace` set, each freshly
+    /// run job also produces its trace bytes (grid-ordered, empty for
+    /// preloaded or failed cells).
+    pub(crate) fn run_grid(
         &self,
         workers: usize,
         mut preloaded: Vec<Option<JobRecord>>,
@@ -710,640 +673,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-#[cfg(feature = "serde")]
-mod checkpoint {
-    //! JSONL checkpointing: a header line pinning the grid shape and
-    //! experiment scale, then one [`JobRecord`] line per finished
-    //! job, appended as jobs complete so a killed sweep loses at most
-    //! the in-flight cells.
-
-    use std::io::{Seek, Write};
-    use std::path::Path;
-    use std::sync::Mutex;
-
-    use super::{config_digest, JobRecord, Sweep, SweepJob, SweepReport};
-
-    /// Dimension summary of a sweep grid, carried in every checkpoint
-    /// header since schema v4. The human-readable axes (distinct
-    /// workloads, policies, ladder depths, FSM policies) make a
-    /// [`CheckpointError::GridMismatch`] explain *which* dimension
-    /// drifted; `grid_digest` pins the exact per-cell
-    /// (workload, config) sequence, so two grids summarize equal iff
-    /// they are cell-for-cell identical.
-    #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq)]
-    pub(crate) struct GridSummary {
-        /// Cell count (mirrors the header's `jobs`, keeping the
-        /// summary self-contained).
-        pub(crate) cells: usize,
-        /// Distinct workload names, sorted, comma-joined.
-        pub(crate) workloads: String,
-        /// Distinct DVS policy names, sorted, comma-joined.
-        pub(crate) policies: String,
-        /// Distinct voltage-ladder depths, sorted, comma-joined.
-        pub(crate) ladders: String,
-        /// Distinct core counts, sorted, comma-joined. Defaults to
-        /// `"1"` when absent (the multicore axis is newer than the
-        /// summary itself).
-        #[serde(default = "default_cores_axis")]
-        pub(crate) cores: String,
-        /// Distinct down/up FSM policy pairs (threshold × window),
-        /// sorted, `;`-joined.
-        pub(crate) fsm: String,
-        /// FNV-1a over every cell's `workload:config_digest` pair in
-        /// grid order, as 16 hex digits.
-        pub(crate) grid_digest: String,
-    }
-
-    /// Serde default for [`GridSummary::cores`]: pre-multicore grids
-    /// were all single-core.
-    fn default_cores_axis() -> String {
-        "1".to_owned()
-    }
-
-    /// First line of every checkpoint file: rejects resumes against a
-    /// different grid or experiment scale before any digest check.
-    /// Since v4 it also carries the [`GridSummary`] and the
-    /// `shard`/`shards` pair placing the file inside a campaign
-    /// (`0/1` for a plain single-process sweep).
-    #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq)]
-    pub(crate) struct CheckpointHeader {
-        pub(crate) version: u32,
-        pub(crate) jobs: usize,
-        pub(crate) warmup_instructions: u64,
-        pub(crate) instructions: u64,
-        pub(crate) shard: usize,
-        pub(crate) shards: usize,
-        /// Host wall-clock nanoseconds of the run that produced the
-        /// file: `0` while a sweep is still appending (the header is
-        /// written before any cell runs), stamped with the shard's
-        /// measured wall clock when a campaign finalizes the file.
-        /// **Not** deterministic, and deliberately ignored by
-        /// [`validate_header_against`].
-        #[serde(default)]
-        pub(crate) wall_ns: u64,
-        pub(crate) grid: GridSummary,
-    }
-
-    // v2: `JobRecord` gained its `metrics` registry (PR 5); v3: the
-    // `ladder` depth field (N-level voltage ladders); v4: the header
-    // gained the grid-dimension summary and the campaign shard
-    // contract, and `SweepReport` moved `metrics` after `records` for
-    // single-pass streaming merges; v5: `JobRecord` gained the `slo`
-    // outcome field and the header gained the finalized shard
-    // `wall_ns`; v6: the service-traffic subsystem — `SystemConfig`
-    // gained the `traffic` axis (part of the config digest),
-    // `MetricsRegistry` the request counters and log2 latency
-    // histogram, and `SloSpec`/`SloOutcome`/`RunResult` the
-    // request-latency ceilings and percentiles; v7: multicore —
-    // `SystemConfig` gained the `cores` axis (part of the config
-    // digest, so every v6 digest changed), `JobRecord` the `cores`
-    // field, the grid summary its `cores` dimension, and `RunResult`
-    // the per-core `core_results` vector. Older files no longer
-    // round-trip and are rejected by the version check.
-    pub(crate) const CHECKPOINT_VERSION: u32 = 7;
-
-    /// Why a checkpoint could not be written or resumed.
-    #[derive(Debug)]
-    pub enum CheckpointError {
-        /// Filesystem failure (open, append, truncate).
-        Io {
-            /// The checkpoint path.
-            path: String,
-            /// The underlying error.
-            error: String,
-        },
-        /// A non-final line failed to parse — the file is corrupt
-        /// beyond the crash-truncation the format tolerates.
-        Corrupt {
-            /// 1-based line number.
-            line: usize,
-            /// Parse error.
-            error: String,
-        },
-        /// The header does not match this sweep (different grid size,
-        /// experiment scale, shard position, or format version).
-        HeaderMismatch {
-            /// What differed.
-            reason: String,
-        },
-        /// The header's grid-dimension summary does not match this
-        /// sweep: same cell count and scale, but a different
-        /// workloads × policies × ladders × FSM-threshold grid. Caught
-        /// at the header, before any per-record digest check, instead
-        /// of producing a silently misaligned report.
-        GridMismatch {
-            /// Which dimension differed, checkpoint vs. sweep.
-            reason: String,
-        },
-        /// A record's job index is outside this sweep's grid.
-        JobOutOfRange {
-            /// The out-of-range index.
-            job: usize,
-            /// The grid size.
-            jobs: usize,
-        },
-        /// A record's config digest does not match the sweep's
-        /// configuration for that cell — the checkpoint belongs to a
-        /// different grid.
-        DigestMismatch {
-            /// The grid cell.
-            job: usize,
-            /// Digest of this sweep's configuration.
-            expected: String,
-            /// Digest recorded in the checkpoint.
-            found: String,
-        },
-        /// A record's workload name does not match the sweep's
-        /// parameter point for that cell.
-        WorkloadMismatch {
-            /// The grid cell.
-            job: usize,
-            /// This sweep's workload name.
-            expected: String,
-            /// Name recorded in the checkpoint.
-            found: String,
-        },
-    }
-
-    impl std::fmt::Display for CheckpointError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                CheckpointError::Io { path, error } => {
-                    write!(f, "checkpoint io error at {path}: {error}")
-                }
-                CheckpointError::Corrupt { line, error } => {
-                    write!(f, "checkpoint corrupt at line {line}: {error}")
-                }
-                CheckpointError::HeaderMismatch { reason } => {
-                    write!(f, "checkpoint header mismatch: {reason}")
-                }
-                CheckpointError::GridMismatch { reason } => {
-                    write!(f, "checkpoint grid mismatch: {reason}")
-                }
-                CheckpointError::JobOutOfRange { job, jobs } => {
-                    write!(f, "checkpoint record for job {job} outside grid of {jobs}")
-                }
-                CheckpointError::DigestMismatch {
-                    job,
-                    expected,
-                    found,
-                } => write!(
-                    f,
-                    "checkpoint config digest mismatch for job {job}: \
-                     sweep has {expected}, checkpoint has {found}"
-                ),
-                CheckpointError::WorkloadMismatch {
-                    job,
-                    expected,
-                    found,
-                } => write!(
-                    f,
-                    "checkpoint workload mismatch for job {job}: \
-                     sweep has {expected:?}, checkpoint has {found:?}"
-                ),
-            }
-        }
-    }
-
-    impl std::error::Error for CheckpointError {}
-
-    /// The validated prefix of an existing checkpoint file.
-    struct LoadedCheckpoint {
-        /// Cached records by grid index.
-        records: Vec<Option<JobRecord>>,
-        /// Byte length of the valid prefix (everything after is a
-        /// half-written crash tail to truncate away).
-        valid_len: u64,
-        /// Whether the valid prefix ends without a newline (a record
-        /// fully written but unterminated — the next append must
-        /// start on a fresh line).
-        needs_newline: bool,
-        /// Whether a valid header line was found.
-        has_header: bool,
-    }
-
-    impl Sweep {
-        /// The grid-dimension summary this sweep's checkpoints carry
-        /// (and are validated against).
-        pub(crate) fn grid_summary(&self) -> GridSummary {
-            grid_summary_over(self.jobs().iter())
-        }
-
-        /// The header a checkpoint of this sweep must carry when it
-        /// is shard `shard` of `shards` (`0`/`1` for a plain sweep).
-        pub(crate) fn checkpoint_header(&self, shard: usize, shards: usize) -> CheckpointHeader {
-            CheckpointHeader {
-                version: CHECKPOINT_VERSION,
-                jobs: self.len(),
-                warmup_instructions: self.experiment.warmup_instructions,
-                instructions: self.experiment.instructions,
-                shard,
-                shards,
-                wall_ns: 0,
-                grid: self.grid_summary(),
-            }
-        }
-
-        /// Runs the grid like [`Sweep::report`] while appending one
-        /// JSONL [`JobRecord`] line per finished job to a fresh
-        /// checkpoint file at `path` (created or truncated).
-        ///
-        /// # Errors
-        ///
-        /// [`CheckpointError::Io`] if the file cannot be created or
-        /// written.
-        pub fn report_with_checkpoint(
-            &self,
-            workers: usize,
-            path: &Path,
-        ) -> Result<SweepReport, CheckpointError> {
-            self.report_with_checkpoint_sharded(workers, path, 0, 1)
-        }
-
-        /// [`Sweep::report_with_checkpoint`] with an explicit campaign
-        /// shard position stamped into the header.
-        pub(crate) fn report_with_checkpoint_sharded(
-            &self,
-            workers: usize,
-            path: &Path,
-            shard: usize,
-            shards: usize,
-        ) -> Result<SweepReport, CheckpointError> {
-            let file = std::fs::File::create(path).map_err(|e| io_err(path, &e))?;
-            let preloaded = std::iter::repeat_with(|| None).take(self.len()).collect();
-            self.run_checkpointed(workers, path, file, true, preloaded, shard, shards)
-        }
-
-        /// Resumes an interrupted checkpointed sweep: validates the
-        /// header and every cached record's config digest against
-        /// this grid, truncates away a half-written final line,
-        /// re-runs only the missing cells (appending their records),
-        /// and returns the complete grid-ordered report —
-        /// bit-identical, wall-clock fields aside, to an
-        /// uninterrupted [`Sweep::report_with_checkpoint`] run.
-        ///
-        /// A missing or empty checkpoint file degenerates to a fresh
-        /// checkpointed run.
-        ///
-        /// # Errors
-        ///
-        /// [`CheckpointError`] on filesystem failures, a corrupt
-        /// non-tail line, or any header/digest/workload mismatch
-        /// (the checkpoint belongs to a different sweep).
-        pub fn resume(&self, workers: usize, path: &Path) -> Result<SweepReport, CheckpointError> {
-            self.resume_sharded(workers, path, 0, 1)
-        }
-
-        /// [`Sweep::resume`] with an explicit campaign shard position:
-        /// the checkpoint's header must carry the same `shard`/`shards`
-        /// pair, and fresh appends stamp it.
-        pub(crate) fn resume_sharded(
-            &self,
-            workers: usize,
-            path: &Path,
-            shard: usize,
-            shards: usize,
-        ) -> Result<SweepReport, CheckpointError> {
-            let content = match std::fs::read_to_string(path) {
-                Ok(c) => c,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-                Err(e) => return Err(io_err(path, &e)),
-            };
-            let loaded = self.parse_checkpoint(&content, shard, shards)?;
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .write(true)
-                // Deliberately not `truncate(true)`: the valid prefix
-                // must survive; `set_len` below trims only the crash
-                // tail.
-                .truncate(false)
-                .open(path)
-                .map_err(|e| io_err(path, &e))?;
-            file.set_len(loaded.valid_len)
-                .map_err(|e| io_err(path, &e))?;
-            file.seek(std::io::SeekFrom::End(0))
-                .map_err(|e| io_err(path, &e))?;
-            if loaded.needs_newline {
-                file.write_all(b"\n").map_err(|e| io_err(path, &e))?;
-            }
-            self.run_checkpointed(
-                workers,
-                path,
-                file,
-                !loaded.has_header,
-                loaded.records,
-                shard,
-                shards,
-            )
-        }
-
-        /// Parses and validates the readable prefix of a checkpoint
-        /// file against this sweep's grid.
-        fn parse_checkpoint(
-            &self,
-            content: &str,
-            shard: usize,
-            shards: usize,
-        ) -> Result<LoadedCheckpoint, CheckpointError> {
-            let mut loaded = LoadedCheckpoint {
-                records: std::iter::repeat_with(|| None).take(self.len()).collect(),
-                valid_len: 0,
-                needs_newline: false,
-                has_header: false,
-            };
-            let chunks: Vec<&str> = content.split_inclusive('\n').collect();
-            for (idx, chunk) in chunks.iter().enumerate() {
-                let terminated = chunk.ends_with('\n');
-                let is_tail = idx + 1 == chunks.len() && !terminated;
-                let line = chunk.trim_end_matches(['\n', '\r']);
-                if line.is_empty() {
-                    loaded.valid_len += chunk.len() as u64;
-                    continue;
-                }
-                if !loaded.has_header {
-                    match serde_json::from_str::<CheckpointHeader>(line) {
-                        Ok(header) => {
-                            self.validate_header(&header, shard, shards)?;
-                            loaded.has_header = true;
-                            loaded.valid_len += chunk.len() as u64;
-                            loaded.needs_newline = !terminated;
-                            continue;
-                        }
-                        Err(e) if is_tail => {
-                            // A crash mid-header: drop it and start
-                            // fresh.
-                            let _ = e;
-                            return Ok(loaded);
-                        }
-                        Err(e) => {
-                            return Err(CheckpointError::Corrupt {
-                                line: idx + 1,
-                                error: e.to_string(),
-                            })
-                        }
-                    }
-                }
-                match serde_json::from_str::<JobRecord>(line) {
-                    Ok(record) => {
-                        self.validate_record(&record)?;
-                        // Duplicate lines for one job (possible after
-                        // repeated crash/resume cycles): last wins.
-                        let slot = record.job;
-                        loaded.records[slot] = Some(record);
-                        loaded.valid_len += chunk.len() as u64;
-                        loaded.needs_newline = !terminated;
-                    }
-                    Err(_) if is_tail => {
-                        // The half-written line a kill can leave
-                        // behind; the cell simply re-runs.
-                    }
-                    Err(e) => {
-                        return Err(CheckpointError::Corrupt {
-                            line: idx + 1,
-                            error: e.to_string(),
-                        })
-                    }
-                }
-            }
-            Ok(loaded)
-        }
-
-        pub(crate) fn validate_header(
-            &self,
-            header: &CheckpointHeader,
-            shard: usize,
-            shards: usize,
-        ) -> Result<(), CheckpointError> {
-            validate_header_against(&self.checkpoint_header(shard, shards), header)
-        }
-
-        fn validate_record(&self, record: &JobRecord) -> Result<(), CheckpointError> {
-            let Some(job) = self.jobs().get(record.job) else {
-                return Err(CheckpointError::JobOutOfRange {
-                    job: record.job,
-                    jobs: self.len(),
-                });
-            };
-            let expected = config_digest(&job.config);
-            if record.config_digest != expected {
-                return Err(CheckpointError::DigestMismatch {
-                    job: record.job,
-                    expected,
-                    found: record.config_digest.clone(),
-                });
-            }
-            if record.workload != job.params.name {
-                return Err(CheckpointError::WorkloadMismatch {
-                    job: record.job,
-                    expected: job.params.name.to_owned(),
-                    found: record.workload.clone(),
-                });
-            }
-            Ok(())
-        }
-
-        /// Runs the missing cells, streaming each fresh record to the
-        /// checkpoint file (flushed per line, so a kill loses at most
-        /// the in-flight cells).
-        #[allow(clippy::too_many_arguments)]
-        fn run_checkpointed(
-            &self,
-            workers: usize,
-            path: &Path,
-            file: std::fs::File,
-            write_header: bool,
-            preloaded: Vec<Option<JobRecord>>,
-            shard: usize,
-            shards: usize,
-        ) -> Result<SweepReport, CheckpointError> {
-            let mut writer = std::io::BufWriter::new(file);
-            if write_header {
-                let header = self.checkpoint_header(shard, shards);
-                append_line(&mut writer, &header).map_err(|e| io_string_err(path, &e))?;
-            }
-            let sink: Mutex<(std::io::BufWriter<std::fs::File>, Option<String>)> =
-                Mutex::new((writer, None));
-            let report = self.run_grid(workers, preloaded, &|record| {
-                let mut guard = match sink.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let (writer, first_error) = &mut *guard;
-                if first_error.is_none() {
-                    if let Err(e) = append_line(writer, record) {
-                        *first_error = Some(e);
-                    }
-                }
-            });
-            let (_, error) = match sink.into_inner() {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            match error {
-                Some(e) => Err(io_string_err(path, &e)),
-                None => Ok(report),
-            }
-        }
-    }
-
-    /// [`GridSummary`] of an arbitrary job sequence. Borrowing the
-    /// jobs matters: the campaign merge validates one shard header
-    /// per input file against a strided view of the full grid, and
-    /// materializing each shard's sweep just to summarize it would
-    /// spike merge memory by a full grid copy.
-    pub(crate) fn grid_summary_over<'a>(jobs: impl Iterator<Item = &'a SweepJob>) -> GridSummary {
-        use std::collections::BTreeSet;
-        let mut cells = 0;
-        let mut workloads = BTreeSet::new();
-        let mut policies = BTreeSet::new();
-        let mut ladders = BTreeSet::new();
-        let mut cores = BTreeSet::new();
-        let mut fsm = BTreeSet::new();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for job in jobs {
-            cells += 1;
-            workloads.insert(job.params.name.to_owned());
-            policies.insert(job.config.policy_name().to_owned());
-            ladders.insert(job.config.vsv.ladder.depth());
-            cores.insert(job.config.cores);
-            fsm.insert(format!("{:?}/{:?}", job.config.vsv.down, job.config.vsv.up));
-            for b in job
-                .params
-                .name
-                .bytes()
-                .chain([b':'])
-                .chain(config_digest(&job.config).bytes())
-                .chain([b'\n'])
-            {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        let join = |set: BTreeSet<String>| set.into_iter().collect::<Vec<_>>().join(",");
-        GridSummary {
-            cells,
-            workloads: join(workloads),
-            policies: join(policies),
-            ladders: ladders
-                .into_iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            cores: cores
-                .into_iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            fsm: fsm.into_iter().collect::<Vec<_>>().join(";"),
-            grid_digest: format!("{h:016x}"),
-        }
-    }
-
-    /// Checks a parsed checkpoint header against the one the owning
-    /// sweep (or campaign shard) expects: version, job count, and
-    /// experiment scale mismatches are [`CheckpointError::HeaderMismatch`];
-    /// a grid-dimension divergence is the typed
-    /// [`CheckpointError::GridMismatch`], naming the first differing
-    /// axis.
-    pub(crate) fn validate_header_against(
-        expected: &CheckpointHeader,
-        header: &CheckpointHeader,
-    ) -> Result<(), CheckpointError> {
-        let scalar_mismatch =
-            |what: &str, found: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
-                CheckpointError::HeaderMismatch {
-                    reason: format!("checkpoint has {what} {found:?}, sweep expects {want:?}"),
-                }
-            };
-        if header.version != expected.version {
-            return Err(scalar_mismatch(
-                "version",
-                &header.version,
-                &expected.version,
-            ));
-        }
-        if header.jobs != expected.jobs {
-            return Err(scalar_mismatch("jobs", &header.jobs, &expected.jobs));
-        }
-        if header.warmup_instructions != expected.warmup_instructions
-            || header.instructions != expected.instructions
-        {
-            return Err(scalar_mismatch(
-                "scale",
-                &(header.warmup_instructions, header.instructions),
-                &(expected.warmup_instructions, expected.instructions),
-            ));
-        }
-        if (header.shard, header.shards) != (expected.shard, expected.shards) {
-            return Err(scalar_mismatch(
-                "shard",
-                &format!("{}/{}", header.shard, header.shards),
-                &format!("{}/{}", expected.shard, expected.shards),
-            ));
-        }
-        if header.grid != expected.grid {
-            return Err(CheckpointError::GridMismatch {
-                reason: grid_diff(&header.grid, &expected.grid),
-            });
-        }
-        Ok(())
-    }
-
-    /// First differing dimension of two grid summaries, checkpoint
-    /// vs. sweep, for the [`CheckpointError::GridMismatch`] message.
-    fn grid_diff(found: &GridSummary, expected: &GridSummary) -> String {
-        let axes = [
-            ("workloads", &found.workloads, &expected.workloads),
-            ("policies", &found.policies, &expected.policies),
-            ("ladder depths", &found.ladders, &expected.ladders),
-            ("core counts", &found.cores, &expected.cores),
-            ("fsm policies", &found.fsm, &expected.fsm),
-            (
-                "per-cell configuration digest chain",
-                &found.grid_digest,
-                &expected.grid_digest,
-            ),
-        ];
-        for (axis, f, e) in axes {
-            if f != e {
-                return format!("checkpoint grid has {axis} [{f}], sweep expects [{e}]");
-            }
-        }
-        format!("checkpoint grid summary {found:?}, sweep expects {expected:?}")
-    }
-
-    /// Serializes `value` as one JSONL line and flushes it.
-    pub(crate) fn append_line<T: serde::Serialize>(
-        writer: &mut std::io::BufWriter<std::fs::File>,
-        value: &T,
-    ) -> Result<(), String> {
-        let json = serde_json::to_string(value).map_err(|e| e.to_string())?;
-        writeln!(writer, "{json}").map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())
-    }
-
-    fn io_err(path: &Path, e: &std::io::Error) -> CheckpointError {
-        CheckpointError::Io {
-            path: path.display().to_string(),
-            error: e.to_string(),
-        }
-    }
-
-    fn io_string_err(path: &Path, e: &str) -> CheckpointError {
-        CheckpointError::Io {
-            path: path.display().to_string(),
-            error: e.to_owned(),
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-pub use checkpoint::CheckpointError;
-#[cfg(feature = "serde")]
-pub(crate) use checkpoint::{
-    append_line, grid_summary_over, validate_header_against, CheckpointHeader, CHECKPOINT_VERSION,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1392,17 +721,26 @@ mod tests {
     }
 
     #[test]
-    fn progress_fires_once_per_job() {
+    fn on_record_fires_once_per_fresh_cell() {
         let twins = [twin("gzip").expect("gzip")];
         let configs = [SystemConfig::baseline(), SystemConfig::vsv_with_fsms()];
         let sweep = Sweep::over_grid(tiny(), &twins, &configs);
+        let full = sweep.report(1);
+        // Cell 0 is cached: only cell 1 runs, and only it is reported.
+        let preloaded = vec![Some(full.records[0].clone()), None];
         let fired = AtomicUsize::new(0);
-        let report = sweep.run_with_progress(2, |record| {
-            assert!(record.job < 2);
-            fired.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(fired.load(Ordering::Relaxed), 2);
+        let (report, _) = sweep.run_grid(
+            2,
+            preloaded,
+            &|record| {
+                assert_eq!(record.job, 1);
+                fired.fetch_add(1, Ordering::Relaxed);
+            },
+            None,
+        );
+        assert_eq!(fired.load(Ordering::Relaxed), 1);
         assert_eq!(report.records.len(), 2);
+        assert_eq!(report.records[0], full.records[0]);
     }
 
     #[test]

@@ -45,17 +45,21 @@ fn grid(ff: bool, fault: Option<usize>) -> Sweep {
     sweep
 }
 
-/// Rewrites every `"wall_ns": <digits>` value to `0`, leaving all
-/// other bytes untouched. Workload names never contain the pattern,
-/// so this is safe on the report wire format.
+/// Rewrites every `"wall_ns": <digits>` value to `0` (pretty or
+/// compact), leaving all other bytes untouched. Workload names never
+/// contain the pattern, so this is safe on the report and shard file
+/// wire formats.
 fn zero_wall(json: &str) -> String {
-    const KEY: &str = "\"wall_ns\": ";
+    const KEY: &str = "\"wall_ns\":";
     let mut out = String::with_capacity(json.len());
     let mut rest = json;
     while let Some(pos) = rest.find(KEY) {
         let (head, tail) = rest.split_at(pos + KEY.len());
         out.push_str(head);
+        let spaces = tail.len() - tail.trim_start_matches(' ').len();
+        out.push_str(&tail[..spaces]);
         out.push('0');
+        let tail = &tail[spaces..];
         let digits = tail
             .find(|c: char| !c.is_ascii_digit())
             .unwrap_or(tail.len());
@@ -207,5 +211,73 @@ fn rerunning_a_finished_shard_is_idempotent() {
     campaign.run_shard(0, 1, &path, false).expect("resume run");
     let second = std::fs::read_to_string(&path).expect("shard file");
     assert_eq!(first, second, "resume of a complete shard is a no-op");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpointed_sweep_is_a_one_shard_campaign() {
+    // `sweep --checkpoint` writes shard 0 of a one-shard campaign, so
+    // the merge accepts its file as is and reproduces the in-process
+    // report's bytes.
+    let dir = shard_dir("one-shard");
+    let sweep = grid(true, None);
+    let campaign = Campaign::new(sweep.clone(), 1).expect("valid campaign");
+    let path = dir.join("checkpoint.jsonl");
+    campaign
+        .run_shard(0, 2, &path, true)
+        .expect("checkpointed run");
+    let merged = dir.join("merged.json");
+    let summary = campaign
+        .merge_files(&[path], &MergeOptions { workers: 2 }, &merged)
+        .expect("the checkpoint merges as a shard file");
+    assert_eq!((summary.cells, summary.failed, summary.shards), (6, 0, 1));
+    let reference = serde_json::to_string_pretty(&sweep.report(2)).expect("serializes");
+    let merged = std::fs::read_to_string(&merged).expect("merged report");
+    assert_eq!(zero_wall(&merged), zero_wall(&reference));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_completion_ordered_checkpoint_still_resumes() {
+    // Before a checkpointed sweep was finalized, its file kept records
+    // in completion order under a header stamped `wall_ns` 0. Such a
+    // file, here missing cell 1, resumes: only the missing cell runs,
+    // and the file is finalized into grid order.
+    let dir = shard_dir("completion-order");
+    let sweep = grid(true, None);
+    let campaign = Campaign::new(sweep.clone(), 1).expect("valid campaign");
+    let path = dir.join("checkpoint.jsonl");
+    let mut uninterrupted = campaign
+        .run_shard(0, 2, &path, true)
+        .expect("checkpointed run");
+    strip_wall_clock(&mut uninterrupted);
+
+    let finalized = std::fs::read_to_string(&path).expect("checkpoint");
+    let lines: Vec<&str> = finalized.lines().collect();
+    assert_eq!(lines.len(), 7, "header + 6 records: {finalized}");
+    let mut legacy = vec![zero_wall(lines[0])];
+    legacy.extend(
+        lines[1..]
+            .iter()
+            .rev()
+            .filter(|l| !l.starts_with("{\"job\":1,"))
+            .map(|l| (*l).to_owned()),
+    );
+    std::fs::write(&path, legacy.join("\n") + "\n").expect("rewrite checkpoint");
+
+    let mut resumed = campaign.run_shard(0, 2, &path, false).expect("resume");
+    strip_wall_clock(&mut resumed);
+    assert_eq!(resumed, uninterrupted);
+    let rewritten = std::fs::read_to_string(&path).expect("checkpoint");
+    let records: Vec<&str> = rewritten.lines().skip(1).collect();
+    assert_eq!(records.len(), 6);
+    for (j, line) in records.iter().enumerate() {
+        assert!(line.starts_with(&format!("{{\"job\":{j},")), "{line}");
+    }
+    assert_ne!(
+        zero_wall(&rewritten),
+        rewritten,
+        "the finalized header and records carry wall clocks"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,15 +6,17 @@
 //!
 //! 1. a sweep with one injected-deadlock cell completes every other
 //!    cell and reports exactly one `Failed` record, in grid order;
-//! 2. an interrupted checkpointed sweep resumed via `Sweep::resume`
-//!    produces a `SweepReport` bit-identical (wall-clock fields
-//!    zeroed) to an uninterrupted run — including when the
-//!    interruption left a half-written final line.
+//! 2. an interrupted checkpointed sweep (shard 0 of a one-shard
+//!    `Campaign`), resumed through `Campaign::run_shard`, produces a
+//!    `SweepReport` bit-identical (wall-clock fields zeroed) to an
+//!    uninterrupted run — including when the interruption left a
+//!    half-written final line.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use vsv::{
-    Experiment, FaultKind, Mode, ModeTransition, SimError, Sweep, SweepReport, SystemConfig,
+    Campaign, CampaignError, Experiment, FaultKind, Mode, ModeTransition, SimError, Sweep,
+    SweepReport, SystemConfig,
 };
 use vsv_workloads::{twin, WorkloadParams};
 
@@ -38,6 +40,18 @@ fn strip_wall_clock(report: &mut SweepReport) {
     for r in &mut report.records {
         r.wall_ns = 0;
     }
+}
+
+/// Runs `sweep` as shard 0 of a one-shard campaign writing its shard
+/// file at `path`: `fresh` starts the file over, otherwise an existing
+/// file is resumed.
+fn checkpointed(
+    sweep: &Sweep,
+    workers: usize,
+    path: &Path,
+    fresh: bool,
+) -> Result<SweepReport, CampaignError> {
+    Campaign::new(sweep.clone(), 1)?.run_shard(0, workers, path, fresh)
 }
 
 /// A fresh path in the system temp dir (tests run in one process, so
@@ -250,9 +264,8 @@ fn checkpoint_resume_after_truncation_is_bit_identical() {
     let sweep = Sweep::over_grid(e, &params, &configs);
     let path = temp_checkpoint("truncation");
 
-    let mut uninterrupted = sweep
-        .report_with_checkpoint(2, &path)
-        .expect("checkpointed run succeeds");
+    let mut uninterrupted =
+        checkpointed(&sweep, 2, &path, true).expect("checkpointed run succeeds");
     strip_wall_clock(&mut uninterrupted);
 
     let full = std::fs::read_to_string(&path).expect("checkpoint written");
@@ -265,7 +278,7 @@ fn checkpoint_resume_after_truncation_is_bit_identical() {
     let truncated = format!("{}\n{}\n{half}", lines[0], lines[1]);
     std::fs::write(&path, truncated).expect("rewrite checkpoint");
 
-    let mut resumed = sweep.resume(2, &path).expect("resume succeeds");
+    let mut resumed = checkpointed(&sweep, 2, &path, false).expect("resume succeeds");
     strip_wall_clock(&mut resumed);
     assert_eq!(
         resumed, uninterrupted,
@@ -274,7 +287,7 @@ fn checkpoint_resume_after_truncation_is_bit_identical() {
 
     // The repaired checkpoint is complete again: a second resume runs
     // nothing and still reproduces the report.
-    let mut resumed_again = sweep.resume(2, &path).expect("second resume succeeds");
+    let mut resumed_again = checkpointed(&sweep, 2, &path, false).expect("second resume succeeds");
     strip_wall_clock(&mut resumed_again);
     assert_eq!(resumed_again, uninterrupted);
     let _ = std::fs::remove_file(&path);
@@ -288,7 +301,7 @@ fn resume_of_missing_file_degenerates_to_a_fresh_run() {
     let sweep = Sweep::over_grid(e, &params, &configs);
     let path = temp_checkpoint("fresh");
 
-    let mut resumed = sweep.resume(2, &path).expect("fresh resume succeeds");
+    let mut resumed = checkpointed(&sweep, 2, &path, false).expect("fresh resume succeeds");
     strip_wall_clock(&mut resumed);
     let mut plain = sweep.report(2);
     strip_wall_clock(&mut plain);
@@ -306,19 +319,14 @@ fn checkpoint_for_a_different_grid_is_rejected() {
     let path = temp_checkpoint("digest-mismatch");
 
     let original = Sweep::over_grid(e, &params, &[SystemConfig::baseline()]);
-    original
-        .report_with_checkpoint(1, &path)
-        .expect("checkpointed run succeeds");
+    checkpointed(&original, 1, &path, true).expect("checkpointed run succeeds");
 
     // Same shape, different configuration: the v4 header's grid
     // summary catches the divergence up front, before any per-record
     // digest check, and names the grid (not a job index).
     let other = Sweep::over_grid(e, &params, &[SystemConfig::vsv_with_fsms()]);
-    let err = other.resume(1, &path).expect_err("grid mismatch");
-    assert!(
-        matches!(err, vsv::CheckpointError::GridMismatch { .. }),
-        "{err}"
-    );
+    let err = checkpointed(&other, 1, &path, false).expect_err("grid mismatch");
+    assert!(matches!(err, CampaignError::GridMismatch { .. }), "{err}");
 
     // A tampered record line still trips the per-record digest check:
     // the header matches (same grid), but the cached cell does not.
@@ -328,15 +336,13 @@ fn checkpoint_for_a_different_grid_is_rejected() {
     assert!(lines[1].contains(&expected), "record line carries digest");
     lines[1] = lines[1].replace(&expected, "deadbeefdeadbeef");
     std::fs::write(&path, lines.join("\n")).expect("rewrite checkpoint");
-    let err = original.resume(1, &path).expect_err("digest mismatch");
+    let err = checkpointed(&original, 1, &path, false).expect_err("digest mismatch");
     assert!(
-        matches!(err, vsv::CheckpointError::DigestMismatch { job: 0, .. }),
+        matches!(err, CampaignError::RecordMismatch { cell: 0, .. }),
         "{err}"
     );
     // Restore the intact checkpoint for the scale check below.
-    original
-        .report_with_checkpoint(1, &path)
-        .expect("rewrite intact checkpoint");
+    checkpointed(&original, 1, &path, true).expect("rewrite intact checkpoint");
 
     // A different experiment scale is caught by the header.
     let bigger = Experiment {
@@ -344,11 +350,8 @@ fn checkpoint_for_a_different_grid_is_rejected() {
         instructions: 3_000,
     };
     let rescaled = Sweep::over_grid(bigger, &params, &[SystemConfig::baseline()]);
-    let err = rescaled.resume(1, &path).expect_err("header mismatch");
-    assert!(
-        matches!(err, vsv::CheckpointError::HeaderMismatch { .. }),
-        "{err}"
-    );
+    let err = checkpointed(&rescaled, 1, &path, false).expect_err("header mismatch");
+    assert!(matches!(err, CampaignError::HeaderMismatch { .. }), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -361,14 +364,13 @@ fn failed_cells_are_checkpointed_and_survive_resume() {
 
     let mut sweep = Sweep::over_grid(e, &params, &configs);
     sweep.jobs_mut()[1].config.inject_fault = Some(FaultKind::Deadlock);
-    let mut first = sweep
-        .report_with_checkpoint(2, &path)
+    let mut first = checkpointed(&sweep, 2, &path, true)
         .expect("checkpointed run completes despite the failure");
     strip_wall_clock(&mut first);
     assert_eq!(first.failed_jobs(), 1);
 
     // Resume re-runs nothing: the failure record was cached too.
-    let mut resumed = sweep.resume(2, &path).expect("resume succeeds");
+    let mut resumed = checkpointed(&sweep, 2, &path, false).expect("resume succeeds");
     strip_wall_clock(&mut resumed);
     assert_eq!(resumed, first);
     let _ = std::fs::remove_file(&path);
