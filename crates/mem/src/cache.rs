@@ -1,9 +1,12 @@
 //! Set-associative, write-back, LRU caches (tag arrays only).
 //!
 //! The simulator is trace driven, so caches track tags, valid and dirty
-//! bits but no data. Replacement is true LRU via per-way timestamps.
+//! bits but no data. Replacement is true LRU via per-way recency ranks
+//! (see [`crate::recency`]).
 
 use vsv_isa::Addr;
+
+use crate::recency::{self, RANK};
 
 /// Geometry and latency of one cache level.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -11,7 +14,7 @@ use vsv_isa::Addr;
 pub struct CacheConfig {
     /// Total capacity in bytes. Must be `assoc * block_bytes * sets`.
     pub capacity_bytes: u64,
-    /// Associativity (ways per set). Must be ≥ 1.
+    /// Associativity (ways per set). Must be in `1..=128`.
     pub assoc: usize,
     /// Block (line) size in bytes. Must be a power of two.
     pub block_bytes: u64,
@@ -45,27 +48,57 @@ impl CacheConfig {
         }
     }
 
+    /// Checks the geometry: a power-of-two block size, an
+    /// associativity in `1..=`[`recency::MAX_ASSOC`], and a capacity
+    /// that is a power-of-two number of sets. A single set of one-byte
+    /// blocks is refused too: its tags would reach the invalid way's
+    /// key.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency found.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.block_bytes.is_power_of_two() {
+            return Err(format!(
+                "block size {} is not a power of two",
+                self.block_bytes
+            ));
+        }
+        if !(1..=recency::MAX_ASSOC).contains(&self.assoc) {
+            return Err(format!(
+                "associativity {} outside 1..={}",
+                self.assoc,
+                recency::MAX_ASSOC
+            ));
+        }
+        let sets = (self.block_bytes.checked_mul(self.assoc as u64))
+            .filter(|&set_bytes| self.capacity_bytes.is_multiple_of(set_bytes))
+            .map_or(0, |set_bytes| self.capacity_bytes / set_bytes);
+        if !sets.is_power_of_two() {
+            return Err(format!(
+                "capacity {} is not a power-of-two number of {}-way sets of {}-byte blocks",
+                self.capacity_bytes, self.assoc, self.block_bytes
+            ));
+        }
+        if sets == 1 && self.block_bytes == 1 {
+            return Err(
+                "a single set of one-byte blocks leaves no room for the invalid-way key".to_owned(),
+            );
+        }
+        Ok(())
+    }
+
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (see [`Cache::new`]).
+    /// Panics if the geometry fails [`CacheConfig::validate`].
     #[must_use]
     pub fn sets(&self) -> usize {
-        let ways_bytes = self.block_bytes * self.assoc as u64;
-        assert!(ways_bytes > 0, "cache must have nonzero ways");
-        assert!(
-            self.capacity_bytes.is_multiple_of(ways_bytes),
-            "capacity {} not divisible by assoc*block {}",
-            self.capacity_bytes,
-            ways_bytes
-        );
-        let sets = self.capacity_bytes / ways_bytes;
-        assert!(
-            sets.is_power_of_two(),
-            "set count {sets} not a power of two"
-        );
-        sets as usize
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        (self.capacity_bytes / (self.block_bytes * self.assoc as u64)) as usize
     }
 }
 
@@ -117,33 +150,8 @@ pub enum ReplacementPolicy {
     Fifo,
 }
 
-/// One way of a set, packed into 16 bytes. `key` is the block's tag
-/// plus one, so the all-zero way is invalid and a fresh tag array is
-/// zeroed memory. `stamp` is the replacement stamp (the use counter of
-/// the last fill, or of the last hit under LRU) with the dirty flag in
-/// its top bit; the counter never gets near 2^63.
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    key: u64,
-    stamp: u64,
-}
-
-/// The dirty flag's bit in [`Line::stamp`].
-const DIRTY: u64 = 1 << 63;
-
-impl Line {
-    fn valid(self) -> bool {
-        self.key != 0
-    }
-
-    fn dirty(self) -> bool {
-        self.stamp & DIRTY != 0
-    }
-
-    fn last_use(self) -> u64 {
-        self.stamp & !DIRTY
-    }
-}
+/// The dirty flag's bit in a way's rank byte.
+const DIRTY: u8 = !RANK;
 
 /// A block displaced by a fill.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -173,15 +181,17 @@ pub struct Eviction {
 pub struct Cache {
     cfg: CacheConfig,
     policy: ReplacementPolicy,
-    // All lines in one flat allocation, `assoc` consecutive ways per
-    // set, so the per-access set lookup is one bounds check and no
-    // pointer chase.
-    lines: Vec<Line>,
+    // Two flat arrays, `assoc` consecutive ways per set. `keys` holds
+    // each way's block tag plus one, so 0 is an invalid way and a
+    // fresh tag array is zeroed memory. `ranks` holds each way's
+    // recency rank within its set (0 = most recent; the last fill, or
+    // under LRU the last hit) with the dirty flag in its top bit.
+    keys: Vec<u64>,
+    ranks: Vec<u8>,
     set_mask: u64,
     // log2 of the set count: the tag is the block number above it.
     set_bits: u32,
     block_shift: u32,
-    use_counter: u64,
     stats: CacheStats,
 }
 
@@ -190,8 +200,7 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `block_bytes` is not a power of two, `assoc` is zero,
-    /// or the capacity is not an integer power-of-two number of sets.
+    /// Panics if the geometry fails [`CacheConfig::validate`].
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         Cache::with_policy(cfg, ReplacementPolicy::Lru)
@@ -215,24 +224,15 @@ impl Cache {
     /// As for [`Cache::new`].
     #[must_use]
     pub fn with_policy(cfg: CacheConfig, policy: ReplacementPolicy) -> Self {
-        assert!(
-            cfg.block_bytes.is_power_of_two(),
-            "block size must be a power of two"
-        );
-        assert!(cfg.assoc >= 1, "associativity must be at least 1");
         let sets = cfg.sets();
-        assert!(
-            sets > 1 || cfg.block_bytes > 1,
-            "a single set of one-byte blocks leaves no room for the invalid-way key"
-        );
         Cache {
             cfg,
             policy,
-            lines: vec![Line::default(); cfg.assoc * sets],
+            keys: vec![0; cfg.assoc * sets],
+            ranks: recency::fresh(cfg.assoc, sets),
             set_mask: sets as u64 - 1,
             set_bits: sets.trailing_zeros(),
             block_shift: cfg.block_bytes.trailing_zeros(),
-            use_counter: 0,
             stats: CacheStats::default(),
         }
     }
@@ -245,25 +245,37 @@ impl Cache {
         Cache {
             cfg,
             policy: ReplacementPolicy::Lru,
-            lines: Vec::new(),
+            keys: Vec::new(),
+            ranks: Vec::new(),
             set_mask: 0,
             set_bits: 0,
             block_shift: 0,
-            use_counter: 0,
             stats: CacheStats::default(),
         }
     }
 
-    /// The ways of `set`, in way order.
-    fn set_lines(&self, set: usize) -> &[Line] {
+    /// The index range of `set`'s ways in `keys` and `ranks`.
+    fn ways(&self, set: usize) -> std::ops::Range<usize> {
         let a = self.cfg.assoc;
-        &self.lines[set * a..set * a + a]
+        set * a..set * a + a
     }
 
-    /// Exclusive access to the ways of `set`, in way order.
-    fn set_lines_mut(&mut self, set: usize) -> &mut [Line] {
-        let a = self.cfg.assoc;
-        &mut self.lines[set * a..set * a + a]
+    /// The index in `keys` and `ranks` of the way of `set` holding
+    /// `key`, if any.
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        let ways = self.ways(set);
+        let start = ways.start;
+        self.keys[ways]
+            .iter()
+            .position(|&k| k == key)
+            .map(|w| start + w)
+    }
+
+    /// Makes way `i` (an index into `keys`) the most recent of `set`.
+    fn promote(&mut self, set: usize, i: usize) {
+        let ways = self.ways(set);
+        let way = i - ways.start;
+        recency::promote(&mut self.ranks[ways], way);
     }
 
     /// The cache's configuration.
@@ -283,8 +295,8 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// The set of `addr` and its block's [`Line::key`] (tag plus one:
-    /// the set or block bits shifted off keep the tag below `u64::MAX`).
+    /// The set of `addr` and its block's key (tag plus one: the set or
+    /// block bits shifted off keep the tag below `u64::MAX`).
     fn index(&self, addr: Addr) -> (usize, u64) {
         let block = addr.0 >> self.block_shift;
         (
@@ -298,16 +310,13 @@ impl Cache {
     /// via [`Cache::fill`] when the refill arrives).
     pub fn access(&mut self, addr: Addr, write: bool) -> bool {
         let (set, key) = self.index(addr);
-        self.use_counter += 1;
-        let counter = self.use_counter;
-        let lru = self.policy == ReplacementPolicy::Lru;
-        match self.set_lines_mut(set).iter_mut().find(|l| l.key == key) {
-            Some(line) => {
-                if lru {
-                    line.stamp = counter | (line.stamp & DIRTY);
+        match self.find(set, key) {
+            Some(i) => {
+                if self.policy == ReplacementPolicy::Lru {
+                    self.promote(set, i);
                 }
                 if write {
-                    line.stamp |= DIRTY;
+                    self.ranks[i] |= DIRTY;
                 }
                 self.stats.hits += 1;
                 true
@@ -323,7 +332,7 @@ impl Cache {
     #[must_use]
     pub fn probe(&self, addr: Addr) -> bool {
         let (set, key) = self.index(addr);
-        self.set_lines(set).iter().any(|l| l.key == key)
+        self.find(set, key).is_some()
     }
 
     /// Installs the block containing `addr`, evicting the LRU way if
@@ -349,45 +358,39 @@ impl Cache {
     /// reporting *any* displaced block — clean or dirty.
     pub fn fill_evicting(&mut self, addr: Addr, dirty: bool) -> Option<Eviction> {
         let (set, key) = self.index(addr);
-        self.use_counter += 1;
-        let counter = self.use_counter;
         self.stats.fills += 1;
         let dirty_bit = if dirty { DIRTY } else { 0 };
 
         // Already resident (e.g. two merged misses racing): refresh.
-        if let Some(line) = self.set_lines_mut(set).iter_mut().find(|l| l.key == key) {
-            line.stamp = counter | (line.stamp & DIRTY) | dirty_bit;
+        if let Some(i) = self.find(set, key) {
+            self.promote(set, i);
+            self.ranks[i] |= dirty_bit;
             return None;
         }
 
-        // Prefer an invalid way; otherwise evict LRU.
-        let victim_idx = match self.set_lines(set).iter().position(|l| !l.valid()) {
-            Some(i) => i,
-            None => self
-                .set_lines(set)
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use())
-                .map(|(i, _)| i)
-                .expect("assoc >= 1"),
-        };
+        // Prefer an invalid way (key 0); otherwise evict the least
+        // recent.
+        let i = self.find(set, 0).unwrap_or_else(|| {
+            let ways = self.ways(set);
+            ways.start + recency::least_recent(&self.ranks[ways])
+        });
 
-        let victim = self.set_lines(set)[victim_idx];
+        let victim_key = self.keys[i];
         let mut evicted = None;
-        if victim.valid() {
+        if victim_key != 0 {
+            let victim_dirty = self.ranks[i] & DIRTY != 0;
             self.stats.evictions += 1;
-            if victim.dirty() {
+            if victim_dirty {
                 self.stats.writebacks += 1;
             }
             evicted = Some(Eviction {
-                addr: self.rebuild_addr(set, victim.key - 1),
-                dirty: victim.dirty(),
+                addr: self.rebuild_addr(set, victim_key - 1),
+                dirty: victim_dirty,
             });
         }
-        self.set_lines_mut(set)[victim_idx] = Line {
-            key,
-            stamp: counter | dirty_bit,
-        };
+        self.keys[i] = key;
+        self.promote(set, i);
+        self.ranks[i] = dirty_bit;
         evicted
     }
 
@@ -395,10 +398,10 @@ impl Cache {
     /// block was invalidated.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
         let (set, key) = self.index(addr);
-        match self.set_lines_mut(set).iter_mut().find(|l| l.key == key) {
-            Some(line) => {
-                line.key = 0;
-                line.stamp &= !DIRTY;
+        match self.find(set, key) {
+            Some(i) => {
+                self.keys[i] = 0;
+                self.ranks[i] &= RANK;
                 true
             }
             None => false,
@@ -409,9 +412,9 @@ impl Cache {
     /// a write-back arriving from above). Returns `false` if absent.
     pub fn mark_dirty(&mut self, addr: Addr) -> bool {
         let (set, key) = self.index(addr);
-        match self.set_lines_mut(set).iter_mut().find(|l| l.key == key) {
-            Some(line) => {
-                line.stamp |= DIRTY;
+        match self.find(set, key) {
+            Some(i) => {
+                self.ranks[i] |= DIRTY;
                 true
             }
             None => false,
@@ -421,7 +424,7 @@ impl Cache {
     /// Number of valid blocks currently resident.
     #[must_use]
     pub fn resident_blocks(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid()).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 
     fn rebuild_addr(&self, set: usize, tag: u64) -> Addr {
@@ -542,8 +545,56 @@ mod tests {
     }
 
     #[test]
-    fn a_way_packs_into_16_bytes() {
-        assert_eq!(std::mem::size_of::<Line>(), 16);
+    fn a_way_is_an_8_byte_key_and_a_rank_byte() {
+        // Table 1's tag arrays: 288 KiB for the L2, 18 KiB per L1.
+        let table1 = [
+            (CacheConfig::l2_baseline(), 288),
+            (CacheConfig::l1_baseline(), 18),
+        ];
+        for (cfg, kib) in table1 {
+            let c = Cache::new(cfg);
+            let ways = cfg.sets() * cfg.assoc;
+            assert_eq!(std::mem::size_of_val(&c.keys[..]), 8 * ways);
+            assert_eq!(std::mem::size_of_val(&c.ranks[..]), ways);
+            assert_eq!((c.keys.capacity(), c.ranks.capacity()), (ways, ways));
+            assert_eq!(9 * ways, kib * 1024);
+        }
+    }
+
+    #[test]
+    fn validate_names_each_malformed_geometry() {
+        let ok = CacheConfig::l1_baseline();
+        assert_eq!(ok.validate(), Ok(()));
+        let bad = |edit: fn(&mut CacheConfig), want: &str| {
+            let mut c = ok;
+            edit(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(want), "{err}");
+        };
+        bad(|c| c.block_bytes = 24, "block size 24");
+        bad(|c| c.assoc = 0, "associativity 0 outside 1..=128");
+        bad(|c| c.assoc = 256, "associativity 256");
+        bad(|c| c.capacity_bytes = 3 << 20, "power-of-two number");
+        bad(|c| c.capacity_bytes = 100, "power-of-two number");
+        bad(|c| c.capacity_bytes = 0, "power-of-two number");
+        bad(
+            |c| {
+                *c = CacheConfig {
+                    capacity_bytes: 4,
+                    assoc: 4,
+                    block_bytes: 1,
+                    hit_latency: 1,
+                }
+            },
+            "invalid-way key",
+        );
+        let widest = CacheConfig {
+            capacity_bytes: 128 * 32,
+            assoc: 128,
+            block_bytes: 32,
+            hit_latency: 2,
+        };
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     #[test]

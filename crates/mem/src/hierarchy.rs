@@ -262,6 +262,43 @@ impl HierarchyConfig {
         });
         cfg
     }
+
+    /// Checks every cache geometry (the prefetch buffer's too, see
+    /// [`CacheConfig::validate`]), the MSHR counts and targets, the
+    /// bus and DRAM: each of these would otherwise panic when the
+    /// hierarchy is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency found.
+    pub fn validate(&self) -> Result<(), String> {
+        let caches = [
+            ("l1i", Some(self.l1i)),
+            ("l1d", Some(self.l1d)),
+            ("l2", Some(self.l2)),
+            ("prefetch_buffer", self.prefetch_buffer),
+        ];
+        for (name, cache) in caches {
+            if let Some(c) = cache {
+                c.validate().map_err(|e| format!("mem.{name}: {e}"))?;
+            }
+        }
+        let positive = [
+            ("il1_mshrs", self.il1_mshrs as u64),
+            ("dl1_mshrs", self.dl1_mshrs as u64),
+            ("l2_mshrs", self.l2_mshrs as u64),
+            ("mshr_targets", self.mshr_targets as u64),
+            ("bus.width_bytes", self.bus.width_bytes),
+            ("bus.occupancy_ns", self.bus.occupancy_ns),
+            ("dram.latency_ns", self.dram.latency_ns),
+        ];
+        for (name, v) in positive {
+            if v == 0 {
+                return Err(format!("mem.{name} must be nonzero"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Aggregate statistics for the hierarchy.

@@ -59,6 +59,7 @@ mod event;
 mod fx;
 mod hierarchy;
 mod mshr;
+pub mod recency;
 mod shared;
 
 pub use bus::{Bus, BusConfig};

@@ -6,21 +6,37 @@
 //! (chooser) table, as in the Alpha 21264 tournament scheme.
 
 use vsv_isa::{BranchKind, Pc};
+use vsv_mem::recency;
 
-/// Saturating 2-bit counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Counter2(u8);
+/// A table of saturating 2-bit counters, packed four to a byte.
+#[derive(Debug, Clone)]
+struct Counters2(Vec<u8>);
 
-impl Counter2 {
-    fn taken(self) -> bool {
-        self.0 >= 2
+impl Counters2 {
+    /// `entries` counters, each weakly not-taken (1).
+    fn new(entries: usize) -> Self {
+        Counters2(vec![0b0101_0101; entries.div_ceil(4)])
     }
-    fn update(&mut self, taken: bool) {
-        if taken {
-            self.0 = (self.0 + 1).min(3);
+
+    /// The byte holding counter `i` and the counter's shift within it.
+    fn slot(i: usize) -> (usize, u32) {
+        (i / 4, 2 * (i % 4) as u32)
+    }
+
+    fn taken(&self, i: usize) -> bool {
+        let (byte, shift) = Self::slot(i);
+        (self.0[byte] >> shift) & 3 >= 2
+    }
+
+    fn update(&mut self, i: usize, taken: bool) {
+        let (byte, shift) = Self::slot(i);
+        let c = (self.0[byte] >> shift) & 3;
+        let c = if taken {
+            (c + 1).min(3)
         } else {
-            self.0 = self.0.saturating_sub(1);
-        }
+            c.saturating_sub(1)
+        };
+        self.0[byte] = (self.0[byte] & !(3 << shift)) | (c << shift);
     }
 }
 
@@ -72,6 +88,43 @@ impl BranchPredictorConfig {
             ras_entries: 32,
         }
     }
+
+    /// Checks the table sizes: power-of-two counter tables, a BTB
+    /// associativity in `1..=128` dividing its entries into a
+    /// power-of-two number of sets, and a nonempty RAS.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency found.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, n) in [
+            ("bimodal_entries", self.bimodal_entries),
+            ("gshare_entries", self.gshare_entries),
+            ("meta_entries", self.meta_entries),
+        ] {
+            if !n.is_power_of_two() {
+                return Err(format!("{name} {n} is not a power of two"));
+            }
+        }
+        if !(1..=recency::MAX_ASSOC).contains(&self.btb_assoc) {
+            return Err(format!(
+                "btb_assoc {} outside 1..={}",
+                self.btb_assoc,
+                recency::MAX_ASSOC
+            ));
+        }
+        let sets = self.btb_entries / self.btb_assoc;
+        if !sets.is_power_of_two() || sets * self.btb_assoc != self.btb_entries {
+            return Err(format!(
+                "btb_entries {} is not a power-of-two number of {}-way sets",
+                self.btb_entries, self.btb_assoc
+            ));
+        }
+        if self.ras_entries == 0 {
+            return Err("ras_entries must be nonzero".to_owned());
+        }
+        Ok(())
+    }
 }
 
 /// A direction + target prediction.
@@ -98,10 +151,9 @@ pub struct BranchPredictorStats {
 /// invalid (the PC's two alignment bits shifted off keep the tag below
 /// `u64::MAX`).
 #[derive(Debug, Clone, Copy, Default)]
-struct BtbLine {
+struct BtbWay {
     key: u64,
     target: Pc,
-    last_use: u64,
 }
 
 /// The tournament predictor with BTB and RAS.
@@ -124,16 +176,17 @@ struct BtbLine {
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
     cfg: BranchPredictorConfig,
-    bimodal: Vec<Counter2>,
-    gshare: Vec<Counter2>,
+    bimodal: Counters2,
+    gshare: Counters2,
     /// Meta counter: high means "trust gshare".
-    meta: Vec<Counter2>,
+    meta: Counters2,
     history: u64,
-    // Flat BTB: `btb_assoc` consecutive ways per set.
-    btb: Vec<BtbLine>,
+    // Flat BTB: `btb_assoc` consecutive ways per set, and beside it
+    // each way's recency rank within its set (0 = most recent).
+    btb: Vec<BtbWay>,
+    btb_ranks: Vec<u8>,
     btb_sets: usize,
     ras: Vec<Pc>,
-    use_counter: u64,
     stats: BranchPredictorStats,
 }
 
@@ -142,36 +195,22 @@ impl BranchPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if any table size is zero or not a power of two, or the
-    /// BTB entries are not divisible by its associativity.
+    /// Panics if the sizes fail [`BranchPredictorConfig::validate`].
     #[must_use]
     pub fn new(cfg: BranchPredictorConfig) -> Self {
-        for (name, n) in [
-            ("bimodal_entries", cfg.bimodal_entries),
-            ("gshare_entries", cfg.gshare_entries),
-            ("meta_entries", cfg.meta_entries),
-        ] {
-            assert!(
-                n.is_power_of_two() && n > 0,
-                "{name} must be a power of two"
-            );
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
         }
-        assert!(cfg.btb_assoc > 0 && cfg.btb_entries.is_multiple_of(cfg.btb_assoc));
         let btb_sets = cfg.btb_entries / cfg.btb_assoc;
-        assert!(
-            btb_sets.is_power_of_two(),
-            "BTB set count must be a power of two"
-        );
-        assert!(cfg.ras_entries > 0, "RAS must have entries");
         BranchPredictor {
-            bimodal: vec![Counter2(1); cfg.bimodal_entries],
-            gshare: vec![Counter2(1); cfg.gshare_entries],
-            meta: vec![Counter2(1); cfg.meta_entries],
+            bimodal: Counters2::new(cfg.bimodal_entries),
+            gshare: Counters2::new(cfg.gshare_entries),
+            meta: Counters2::new(cfg.meta_entries),
             history: 0,
-            btb: vec![BtbLine::default(); cfg.btb_entries],
+            btb: vec![BtbWay::default(); cfg.btb_entries],
+            btb_ranks: recency::fresh(cfg.btb_assoc, btb_sets),
             btb_sets,
             ras: Vec::with_capacity(cfg.ras_entries),
-            use_counter: 0,
             stats: BranchPredictorStats::default(),
             cfg,
         }
@@ -203,13 +242,15 @@ impl BranchPredictor {
         self.stats.lookups += 1;
         match kind {
             BranchKind::Conditional => {
-                let b = self.bimodal[Self::pc_index(pc, self.cfg.bimodal_entries)].taken();
-                let g = self.gshare[self.gshare_index(pc)].taken();
+                let b = self
+                    .bimodal
+                    .taken(Self::pc_index(pc, self.cfg.bimodal_entries));
+                let g = self.gshare.taken(self.gshare_index(pc));
                 let taken = match self.cfg.kind {
                     PredictorKind::Bimodal => b,
                     PredictorKind::Gshare => g,
                     PredictorKind::Hybrid => {
-                        if self.meta[Self::pc_index(pc, self.cfg.meta_entries)].taken() {
+                        if self.meta.taken(Self::pc_index(pc, self.cfg.meta_entries)) {
                             g
                         } else {
                             b
@@ -249,14 +290,14 @@ impl BranchPredictor {
             let bi = Self::pc_index(pc, self.cfg.bimodal_entries);
             let gi = self.gshare_index(pc);
             let mi = Self::pc_index(pc, self.cfg.meta_entries);
-            let b_correct = self.bimodal[bi].taken() == taken;
-            let g_correct = self.gshare[gi].taken() == taken;
+            let b_correct = self.bimodal.taken(bi) == taken;
+            let g_correct = self.gshare.taken(gi) == taken;
             // Meta trains toward whichever component was right.
             if b_correct != g_correct {
-                self.meta[mi].update(g_correct);
+                self.meta.update(mi, g_correct);
             }
-            self.bimodal[bi].update(taken);
-            self.gshare[gi].update(taken);
+            self.bimodal.update(bi, taken);
+            self.gshare.update(gi, taken);
             self.history = (self.history << 1) | u64::from(taken);
         }
         if taken && kind != BranchKind::Return {
@@ -264,62 +305,34 @@ impl BranchPredictor {
         }
     }
 
-    fn btb_sets(&self) -> usize {
-        self.btb_sets
-    }
-
-    /// The ways of BTB set `set`, in way order.
-    fn btb_set_mut(&mut self, set: usize) -> &mut [BtbLine] {
+    /// The index range of `pc`'s BTB set in `btb` and `btb_ranks`,
+    /// and its key.
+    fn btb_index(&self, pc: Pc) -> (std::ops::Range<usize>, u64) {
+        let set = ((pc.0 >> 2) as usize) & (self.btb_sets - 1);
+        let key = (pc.0 >> 2 >> self.btb_sets.trailing_zeros()) + 1;
         let a = self.cfg.btb_assoc;
-        &mut self.btb[set * a..set * a + a]
+        (set * a..set * a + a, key)
     }
 
     fn btb_lookup(&mut self, pc: Pc) -> Option<Pc> {
-        let sets = self.btb_sets();
-        let set = ((pc.0 >> 2) as usize) & (sets - 1);
-        let key = (pc.0 >> 2 >> sets.trailing_zeros()) + 1;
-        self.use_counter += 1;
-        let counter = self.use_counter;
-        let hit = self
-            .btb_set_mut(set)
-            .iter_mut()
-            .find(|l| l.key == key)
-            .map(|l| {
-                l.last_use = counter;
-                l.target
-            });
-        if hit.is_some() {
-            self.stats.btb_hits += 1;
-        }
-        hit
+        let (ways, key) = self.btb_index(pc);
+        let way = self.btb[ways.clone()].iter().position(|l| l.key == key)?;
+        self.stats.btb_hits += 1;
+        let target = self.btb[ways.start + way].target;
+        recency::promote(&mut self.btb_ranks[ways], way);
+        Some(target)
     }
 
     fn btb_fill(&mut self, pc: Pc, target: Pc) {
-        let sets = self.btb_sets();
-        let set = ((pc.0 >> 2) as usize) & (sets - 1);
-        let key = (pc.0 >> 2 >> sets.trailing_zeros()) + 1;
-        self.use_counter += 1;
-        let counter = self.use_counter;
-        let ways = self.btb_set_mut(set);
-        if let Some(line) = ways.iter_mut().find(|l| l.key == key) {
-            line.target = target;
-            line.last_use = counter;
-            return;
-        }
-        let victim = match ways.iter().position(|l| l.key == 0) {
-            Some(i) => i,
-            None => ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("assoc >= 1"),
-        };
-        ways[victim] = BtbLine {
-            key,
-            target,
-            last_use: counter,
-        };
+        let (ways, key) = self.btb_index(pc);
+        let set = &self.btb[ways.clone()];
+        let way = set
+            .iter()
+            .position(|l| l.key == key)
+            .or_else(|| set.iter().position(|l| l.key == 0))
+            .unwrap_or_else(|| recency::least_recent(&self.btb_ranks[ways.clone()]));
+        self.btb[ways.start + way] = BtbWay { key, target };
+        recency::promote(&mut self.btb_ranks[ways], way);
     }
 }
 
@@ -328,8 +341,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_btb_way_packs_into_24_bytes() {
-        assert_eq!(std::mem::size_of::<BtbLine>(), 24);
+    fn a_btb_way_is_16_bytes_and_a_rank_byte() {
+        let p = bp();
+        assert_eq!(std::mem::size_of::<BtbWay>(), 16);
+        assert_eq!(std::mem::size_of_val(&p.btb[..]), 16 * 8192);
+        assert_eq!(p.btb_ranks.len(), 8192);
+        // Table 1's BTB is 136 KiB and its three counter tables 6 KiB.
+        assert_eq!(17 * 8192, 136 * 1024);
+        let counters = [&p.bimodal, &p.gshare, &p.meta].map(|t| t.0.len());
+        assert_eq!(counters, [2048; 3]);
+    }
+
+    #[test]
+    fn packed_counters_saturate_independently() {
+        let mut t = Counters2::new(8);
+        assert_eq!(t.0, [0x55, 0x55]);
+        for _ in 0..5 {
+            t.update(5, true);
+        }
+        t.update(6, false);
+        t.update(6, false);
+        assert!(t.taken(5) && !t.taken(4) && !t.taken(6));
+        assert_eq!(t.0, [0x55, 0b0100_1101]);
+        t.update(5, false);
+        assert!(t.taken(5), "3 steps down to 2, still taken");
+        t.update(5, false);
+        assert!(!t.taken(5));
+        assert_eq!(Counters2::new(1).0.len(), 1);
+    }
+
+    #[test]
+    fn validate_names_each_malformed_size() {
+        let ok = BranchPredictorConfig::baseline();
+        assert_eq!(ok.validate(), Ok(()));
+        let bad = |edit: fn(&mut BranchPredictorConfig), want: &str| {
+            let mut c = ok;
+            edit(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(want), "{err}");
+        };
+        bad(|c| c.gshare_entries = 0, "gshare_entries 0");
+        bad(|c| c.meta_entries = 6000, "meta_entries 6000");
+        bad(|c| c.btb_assoc = 0, "btb_assoc 0 outside 1..=128");
+        bad(|c| c.btb_assoc = 256, "btb_assoc 256");
+        bad(|c| c.btb_entries = 1000, "btb_entries 1000");
+        bad(|c| c.btb_entries = 0, "btb_entries 0");
+        bad(|c| c.ras_entries = 0, "ras_entries");
     }
 
     fn bp() -> BranchPredictor {

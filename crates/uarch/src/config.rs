@@ -111,7 +111,8 @@ impl CoreConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency
-    /// found (zero widths or empty structures).
+    /// found (zero widths, empty structures or malformed predictor
+    /// tables).
     pub fn validate(&self) -> Result<(), String> {
         let positive = [
             ("fetch_width", self.fetch_width),
@@ -131,7 +132,7 @@ impl CoreConfig {
         if self.lsq_entries > self.ruu_entries {
             return Err("lsq_entries cannot exceed ruu_entries".to_owned());
         }
-        Ok(())
+        self.bpred.validate().map_err(|e| format!("bpred: {e}"))
     }
 }
 

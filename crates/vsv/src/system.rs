@@ -281,10 +281,12 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] describing the first
-    /// inconsistency (core widths/structures, power-model ranges, a
+    /// inconsistency (core widths/structures, predictor tables, cache
+    /// geometries and the rest of the hierarchy, power-model ranges, a
     /// malformed voltage ladder, a zero watchdog budget).
     pub fn validate(&self) -> Result<(), SimError> {
         self.core.validate().map_err(SimError::invalid_config)?;
+        self.mem.validate().map_err(SimError::invalid_config)?;
         self.power.validate().map_err(SimError::invalid_config)?;
         self.vsv
             .ladder

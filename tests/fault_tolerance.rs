@@ -85,6 +85,60 @@ fn budget_exhaustion_is_a_typed_error() {
     assert!(err.to_string().contains("50"), "{err}");
 }
 
+/// Three malformed geometries that each panicked while the machine was
+/// built, before the memory hierarchy and the predictor were validated:
+/// a 3 MiB L2 (6144 sets), a zero-way L1D and a 1000-entry BTB.
+fn malformed_geometries() -> [SystemConfig; 3] {
+    let mut l2 = SystemConfig::baseline();
+    l2.mem.l2.capacity_bytes = 3 << 20;
+    let mut l1d = SystemConfig::baseline();
+    l1d.mem.l1d.assoc = 0;
+    let mut btb = SystemConfig::baseline();
+    btb.core.bpred.btb_entries = 1000;
+    [l2, l1d, btb]
+}
+
+#[test]
+fn malformed_geometry_is_a_typed_invalid_config() {
+    let p = twin("gzip").expect("gzip exists");
+    let wants = [
+        "mem.l2: capacity 3145728",
+        "mem.l1d: associativity 0",
+        "bpred: btb_entries 1000",
+    ];
+    for (cfg, want) in malformed_geometries().into_iter().zip(wants) {
+        for cores in [1, 2] {
+            let err = quick()
+                .try_run(&p, cfg.with_cores(cores))
+                .expect_err("malformed geometry");
+            assert_eq!(err.kind(), "invalid-config", "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+        }
+    }
+    let mut wide = SystemConfig::baseline().with_timekeeping(true);
+    let pb = wide.mem.prefetch_buffer.as_mut().expect("TK has a buffer");
+    pb.assoc = 256;
+    pb.capacity_bytes = 256 * 32;
+    let err = quick().try_run(&p, wide).expect_err("257+ ways");
+    assert!(err.to_string().contains("mem.prefetch_buffer"), "{err}");
+}
+
+#[test]
+fn a_sweep_cell_of_malformed_geometry_fails_once_without_a_retry() {
+    let params = twins(&["gzip"]);
+    let report = Sweep::over_grid(quick(), &params, &malformed_geometries()).report(2);
+    assert_eq!(report.failed_jobs(), 3);
+    for r in &report.records {
+        match &r.outcome {
+            vsv::JobOutcome::Failed { error, attempts } => {
+                assert_eq!(error.kind(), "invalid-config", "{error}");
+                assert_eq!(*attempts, 1, "a typed failure is not retried");
+            }
+            vsv::JobOutcome::Ok(_) => unreachable!("every cell is malformed"),
+        }
+    }
+}
+
 /// A 2-core `mcf` chip under the paper's controller: each core's
 /// window is watched by the same rules as a single core's, and a
 /// failure names the core (`mcf#<core>`) it happened on.
