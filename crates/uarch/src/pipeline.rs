@@ -492,7 +492,7 @@ impl<S: InstStream> Core<S> {
                 })
             };
 
-            self.ruu.mark_issued(seq, cycle);
+            self.ruu.mark_issued(seq);
             if let Some(done) = completion_cycle {
                 self.exec_done.push(done, seq);
             }

@@ -30,8 +30,6 @@ pub struct RuuEntry {
     pub seq: Seq,
     /// The instruction itself.
     pub inst: Inst,
-    /// Cycle the entry was issued (for occupancy stats).
-    pub issued_at: Option<u64>,
     /// Current lifecycle state.
     pub state: EntryState,
     /// Unresolved source dependences.
@@ -61,7 +59,7 @@ pub struct RuuEntry {
 ///     false,
 /// );
 /// assert_eq!(ruu.entry(consumer).unwrap().state, EntryState::Waiting);
-/// ruu.mark_issued(producer, 0);
+/// ruu.mark_issued(producer);
 /// ruu.complete(producer);
 /// assert_eq!(ruu.entry(consumer).unwrap().state, EntryState::Ready);
 /// ```
@@ -123,7 +121,6 @@ impl Ruu {
         let vacant = RuuEntry {
             seq: 0,
             inst: Inst::nop(Pc(0)),
-            issued_at: None,
             state: EntryState::Completed,
             deps_outstanding: 0,
             mispredicted: false,
@@ -250,7 +247,6 @@ impl Ruu {
         self.slots[slot] = RuuEntry {
             seq,
             inst,
-            issued_at: None,
             state: if ready {
                 EntryState::Ready
             } else {
@@ -342,12 +338,11 @@ impl Ruu {
     }
 
     /// Transitions `seq` to [`EntryState::Issued`].
-    pub fn mark_issued(&mut self, seq: Seq, cycle: u64) {
+    pub fn mark_issued(&mut self, seq: Seq) {
         if let Some(slot) = self.slot(seq) {
             let e = &mut self.slots[slot];
             debug_assert_eq!(e.state, EntryState::Ready);
             e.state = EntryState::Issued;
-            e.issued_at = Some(cycle);
             self.ready_count -= 1;
             self.clear_ready_bit(slot);
         }
@@ -460,6 +455,14 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_is_40_bytes() {
+        // A 24-byte instruction record, its sequence number and three
+        // one-byte fields, padded to the sequence number's alignment.
+        assert!(std::mem::size_of::<Inst>() <= 24);
+        assert_eq!(std::mem::size_of::<RuuEntry>(), 40);
+    }
+
+    #[test]
     fn independent_insts_are_ready_at_dispatch() {
         let mut r = Ruu::new(8, 4);
         let s = r.dispatch(alu(0, 1, &[]), false);
@@ -473,10 +476,10 @@ mod tests {
         let b = r.dispatch(alu(4, 2, &[1]), false);
         let c = r.dispatch(alu(8, 3, &[2]), false);
         assert_eq!(r.ready_seqs(8), vec![a]);
-        r.mark_issued(a, 0);
+        r.mark_issued(a);
         assert_eq!(r.complete(a), 1);
         assert_eq!(r.ready_seqs(8), vec![b]);
-        r.mark_issued(b, 1);
+        r.mark_issued(b);
         r.complete(b);
         assert_eq!(r.ready_seqs(8), vec![c]);
     }
@@ -487,10 +490,10 @@ mod tests {
         let a = r.dispatch(alu(0, 1, &[]), false);
         let b = r.dispatch(alu(4, 2, &[]), false);
         let c = r.dispatch(alu(8, 3, &[1, 2]), false);
-        r.mark_issued(a, 0);
+        r.mark_issued(a);
         r.complete(a);
         assert_eq!(r.entry(c).unwrap().state, EntryState::Waiting);
-        r.mark_issued(b, 0);
+        r.mark_issued(b);
         r.complete(b);
         assert_eq!(r.entry(c).unwrap().state, EntryState::Ready);
     }
@@ -499,7 +502,7 @@ mod tests {
     fn completed_producer_creates_no_dependence() {
         let mut r = Ruu::new(8, 4);
         let a = r.dispatch(alu(0, 1, &[]), false);
-        r.mark_issued(a, 0);
+        r.mark_issued(a);
         r.complete(a);
         let b = r.dispatch(alu(4, 2, &[1]), false);
         assert_eq!(r.entry(b).unwrap().state, EntryState::Ready);
@@ -512,7 +515,7 @@ mod tests {
         let new = r.dispatch(alu(4, 1, &[]), false);
         let user = r.dispatch(alu(8, 2, &[1]), false);
         // user depends on `new`, not `old`.
-        r.mark_issued(new, 0);
+        r.mark_issued(new);
         r.complete(new);
         assert_eq!(r.entry(user).unwrap().state, EntryState::Ready);
     }
@@ -524,7 +527,7 @@ mod tests {
         // r1 <- f(r1): depends on the previous writer of r1, not itself.
         let b = r.dispatch(alu(4, 1, &[1]), false);
         assert_eq!(r.entry(b).unwrap().state, EntryState::Waiting);
-        r.mark_issued(a, 0);
+        r.mark_issued(a);
         r.complete(a);
         assert_eq!(r.entry(b).unwrap().state, EntryState::Ready);
     }
@@ -534,10 +537,10 @@ mod tests {
         let mut r = Ruu::new(8, 4);
         let a = r.dispatch(alu(0, 1, &[]), false);
         let b = r.dispatch(alu(4, 2, &[]), false);
-        r.mark_issued(b, 0);
+        r.mark_issued(b);
         r.complete(b);
         assert!(r.commit_ready().is_none(), "head (a) not complete yet");
-        r.mark_issued(a, 1);
+        r.mark_issued(a);
         r.complete(a);
         assert_eq!(r.commit_ready().unwrap().seq, a);
         assert_eq!(r.pop_commit().seq, a);
@@ -565,7 +568,7 @@ mod tests {
         let mut r = Ruu::new(4, 1);
         let s = r.dispatch(Inst::load(Pc(0), ArchReg::int(1), Addr(0x40)), false);
         assert_eq!(r.lsq_occupancy(), 1);
-        r.mark_issued(s, 0);
+        r.mark_issued(s);
         r.complete(s);
         r.pop_commit();
         assert_eq!(r.lsq_occupancy(), 0);
@@ -588,7 +591,7 @@ mod tests {
     fn commit_clears_stale_rename_mapping() {
         let mut r = Ruu::new(8, 4);
         let a = r.dispatch(alu(0, 1, &[]), false);
-        r.mark_issued(a, 0);
+        r.mark_issued(a);
         r.complete(a);
         r.pop_commit();
         // A new consumer of r1 sees no in-flight producer.
