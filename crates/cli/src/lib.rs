@@ -253,7 +253,9 @@ impl Command {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
+        let mut seen: Vec<&str> = Vec::new();
         while let Some(arg) = it.next() {
+            seen.push(arg);
             match arg.as_str() {
                 "--twin" => twin_name = Some(next_value("--twin", &mut it)?),
                 "--config" => config = ConfigKind::parse(&next_value("--config", &mut it)?)?,
@@ -330,6 +332,16 @@ impl Command {
                 "--slo" => slo = Some(parse_slo(&next_value("--slo", &mut it)?)?),
                 "--traffic" => traffic = Some(parse_traffic(&next_value("--traffic", &mut it)?)?),
                 other => return Err(format!("unknown flag '{other}'")),
+            }
+        }
+        let verb = match (cmd.as_str(), campaign_sub.as_deref()) {
+            ("trace", _) if summarize => "trace summarize".to_owned(),
+            ("campaign", Some(sub)) => format!("campaign {sub}"),
+            (verb, _) => verb.to_owned(),
+        };
+        if let Some(flags) = verb_flags(&verb) {
+            if let Some(flag) = seen.iter().find(|f| !flags.contains(f)) {
+                return Err(format!("{verb} does not take {flag}"));
             }
         }
         let need_twin = |t: Option<String>| t.ok_or_else(|| "--twin is required".to_owned());
@@ -495,6 +507,84 @@ impl Command {
             other => Err(format!("unknown command '{other}'")),
         }
     }
+}
+
+/// The flags that define a sweep grid, shared by `sweep` and the
+/// `campaign` verbs.
+const GRID_FLAGS: [&str; 10] = [
+    "--twin",
+    "--policy",
+    "--ladder",
+    "--cores",
+    "--tk",
+    "--insts",
+    "--warmup",
+    "--error-rate",
+    "--slo",
+    "--traffic",
+];
+
+/// The flags `verb` reads (`None` for an unknown verb): any other flag
+/// on its command line is a usage error rather than silently ignored.
+fn verb_flags(verb: &str) -> Option<Vec<&'static str>> {
+    let (grid, own): (bool, &[&str]) = match verb {
+        "list" | "help" | "--help" | "-h" => (false, &[]),
+        "workloads" => (false, &["--cores"]),
+        "run" => (
+            false,
+            &[
+                "--twin", "--config", "--tk", "--insts", "--warmup", "--json",
+            ],
+        ),
+        "compare" => (
+            false,
+            &[
+                "--twin",
+                "--policies",
+                "--ladders",
+                "--cores",
+                "--tk",
+                "--insts",
+                "--warmup",
+                "--workers",
+                "--json",
+            ],
+        ),
+        "sweep" => (
+            true,
+            &[
+                "--workers",
+                "--json",
+                "--checkpoint",
+                "--resume",
+                "--trace",
+                "--trace-level",
+                "--inject-fault",
+            ],
+        ),
+        "trace" => (false, &["--twin", "--ns", "--svg"]),
+        "trace summarize" => (false, &["--input"]),
+        "campaign plan" => (true, &["--shards", "--json"]),
+        "campaign run" => (
+            true,
+            &[
+                "--shard",
+                "--shards",
+                "--out",
+                "--fresh",
+                "--workers",
+                "--inject-fault",
+            ],
+        ),
+        "campaign merge" => (true, &["--inputs", "--out", "--shards", "--workers"]),
+        "reproduce" => (
+            false,
+            &["--insts", "--warmup", "--workers", "--json", "--svg"],
+        ),
+        _ => return None,
+    };
+    let grid: &[&str] = if grid { &GRID_FLAGS } else { &[] };
+    Some([grid, own].concat())
 }
 
 /// Usage text.

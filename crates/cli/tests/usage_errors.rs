@@ -21,6 +21,42 @@ fn a_parse_error_exits_2_with_usage() {
 }
 
 #[test]
+fn a_flag_the_verb_does_not_read_exits_2_with_usage() {
+    for (args, want) in [
+        (
+            &["run", "--twin", "gzip", "--cores", "4", "--workers", "7"][..],
+            "run does not take --cores",
+        ),
+        (
+            &[
+                "reproduce",
+                "headline",
+                "--twin",
+                "mcf",
+                "--policy",
+                "always-low",
+            ][..],
+            "reproduce does not take --twin",
+        ),
+        (
+            &["trace", "summarize", "--input", "x", "--json"][..],
+            "trace summarize does not take --json",
+        ),
+        (
+            &["campaign", "plan", "--shards", "2", "--out", "x"][..],
+            "campaign plan does not take --out",
+        ),
+    ] {
+        let out = vsv_cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(&format!("error: {want}\n")), "{stderr}");
+        assert!(stderr.contains("USAGE:"), "{stderr}");
+    }
+}
+
+#[test]
 fn a_runtime_error_exits_2_without_usage() {
     // Resuming a gzip sweep from an mcf checkpoint parses fine and then
     // fails on the file's grid.
