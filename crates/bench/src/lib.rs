@@ -124,9 +124,10 @@ impl CsvSink {
 /// count with [`vsv::default_workers`] (`VSV_WORKERS` overrides the
 /// host's parallelism).
 ///
-/// Prints a one-line banner so runs record how they were scheduled.
+/// Prints a one-line banner on stderr so runs record how they were
+/// scheduled; stdout stays the same bytes whatever the host.
 pub fn announce_workers(workers: usize) {
-    println!(
+    eprintln!(
         "({workers} worker thread{})",
         if workers == 1 { "" } else { "s" }
     );
