@@ -1,7 +1,7 @@
 //! `compare`: labelled (baseline, variant) pairs on one twin, run as
 //! one sweep grid and rendered as a two-sided report or a table.
 
-use vsv::{resolve_workers, Comparison, Experiment, PolicySpec, Sweep, SystemConfig};
+use vsv::{resolve_workers, Comparison, Experiment, PolicySpec, RunResult, Sweep, SystemConfig};
 use vsv_workloads::twin;
 
 use crate::grid::unknown_twin;
@@ -83,6 +83,34 @@ pub(crate) fn execute(cmd: Command) -> Result<(String, i32), String> {
     }
 }
 
+/// A run's energy and energy-delay product, and its slowdown and power
+/// saving against a baseline run: the columns every policy table
+/// shares (`compare`'s rows and the `reproduce` data artifacts).
+pub(crate) struct Cost {
+    /// Total energy for the measured window (mJ).
+    pub(crate) energy_mj: f64,
+    /// Energy-delay product (mJ·ms).
+    pub(crate) edp_mj_ms: f64,
+    /// Execution-time increase vs. the baseline (%).
+    pub(crate) slowdown_pct: f64,
+    /// Average-power saving vs. the baseline (%).
+    pub(crate) power_saving_pct: f64,
+}
+
+impl Cost {
+    /// `run` against `base`.
+    pub(crate) fn of(base: &RunResult, run: &RunResult) -> Self {
+        let cmp = Comparison::of(base, run);
+        let energy_mj = run.energy_pj / 1e9;
+        Cost {
+            energy_mj,
+            edp_mj_ms: energy_mj * run.elapsed_ns as f64 / 1e6,
+            slowdown_pct: cmp.perf_degradation_pct,
+            power_saving_pct: cmp.power_saving_pct,
+        }
+    }
+}
+
 /// One row of the cross-policy comparison: the paper's headline
 /// metrics plus energy-delay product, relative to the same baseline
 /// run.
@@ -157,16 +185,20 @@ fn compare(
         .iter()
         .zip(cells)
         .map(|((label, _, _), (b, v))| {
-            let (base, r) = (&results[b], &results[v]);
-            let cmp = Comparison::of(base, r);
-            let energy_mj = r.energy_pj / 1e9;
+            let r = &results[v];
+            let Cost {
+                energy_mj,
+                edp_mj_ms,
+                slowdown_pct,
+                power_saving_pct,
+            } = Cost::of(&results[b], r);
             PolicyRow {
                 policy: label.clone(),
                 elapsed_ns: r.elapsed_ns,
                 energy_mj,
-                edp_mj_ms: energy_mj * r.elapsed_ns as f64 / 1e6,
-                slowdown_pct: cmp.perf_degradation_pct,
-                power_saving_pct: cmp.power_saving_pct,
+                edp_mj_ms,
+                slowdown_pct,
+                power_saving_pct,
             }
         })
         .collect();

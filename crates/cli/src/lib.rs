@@ -157,18 +157,22 @@ pub enum Command {
         /// Where to write the merged report JSON.
         out: String,
     },
-    /// Regenerate one of the paper's results (Table 2, Figures 4–7,
-    /// the headline aggregates, the ablations) as its text table.
+    /// Regenerate one of the committed results: the paper's (Table 2,
+    /// Figures 4–7, the headline aggregates, the ablations) or a data
+    /// artifact (policy, ladder, reliability, traffic, multicore).
     Reproduce {
-        /// Experiment name: the `results/NAME.txt` it reproduces.
+        /// Experiment name: the `results/NAME.txt` or `BENCH_NAME.json`
+        /// it reproduces.
         name: String,
-        /// Measured instructions.
+        /// Measured instructions (parsing defaults to the
+        /// experiment's committed scale).
         insts: u64,
-        /// Warm-up instructions.
+        /// Warm-up instructions (likewise).
         warmup: u64,
         /// Worker threads (0 = `VSV_WORKERS` / host parallelism).
         workers: usize,
-        /// Emit the experiment's `SweepReport` as JSON instead of text.
+        /// Emit JSON instead of text: a paper experiment's
+        /// `SweepReport`, a data artifact's `BENCH_NAME.json`.
         json: bool,
         /// Also write the experiment's SVG charts into this directory.
         svg: Option<String>,
@@ -487,10 +491,21 @@ impl Command {
                 if svg.is_some() && (json || experiment.name != "figure4") {
                     return Err("--svg draws charts only for figure4, without --json".to_owned());
                 }
+                // The experiment's committed scale, unless overridden.
+                let given = |flag| seen.contains(&flag);
+                let scale = experiment.scale;
                 Ok(Command::Reproduce {
                     name: experiment.name.to_owned(),
-                    insts,
-                    warmup,
+                    insts: if given("--insts") {
+                        insts
+                    } else {
+                        scale.instructions
+                    },
+                    warmup: if given("--warmup") {
+                        warmup
+                    } else {
+                        scale.warmup_instructions
+                    },
                     workers,
                     json,
                     svg,
@@ -716,10 +731,14 @@ SweepReport bit-identical (wall-clock fields aside) to the
 single-process `sweep --json` run, in O(1) memory. Pass merge the
 --workers the single-process run would use to reproduce its bytes.
 
-Paper results: reproduce NAME (table2, figure4..figure7, headline,
-ablations) prints exactly results/NAME.txt at the default scale;
---json prints its SweepReport, figure4 --svg DIR also writes its two
-bar charts, and a failed cell prints the failure summary (exit 1).
+Committed results: reproduce NAME prints one at its committed scale
+(300000 measured / 100000 warm-up instructions; traffic 240000 /
+60000), which --insts and --warmup override. The paper's (table2,
+figure4..figure7, headline, ablations) print exactly results/NAME.txt,
+--json their SweepReport, and figure4 --svg DIR also writes its two
+bar charts. The data artifacts (policy, ladder, reliability, traffic,
+multicore) print a table, and --json exactly BENCH_NAME.json. A
+failed cell or chip run prints the failure summary (exit 1).
 
 EXAMPLES:
   vsv-cli compare --twin mcf
@@ -748,6 +767,7 @@ EXAMPLES:
                          --out report.json
   vsv-cli reproduce headline
   vsv-cli reproduce figure4 --svg charts
+  vsv-cli reproduce traffic --json > BENCH_traffic.json
 ";
 
 /// Executes a parsed command; returns the text to print.
@@ -1453,9 +1473,24 @@ pub(crate) mod tests {
         assert!(err.contains("experiment name"), "{err}");
         let err = Command::parse(&sv(&["reproduce", "figure9"])).expect_err("unknown name");
         assert!(err.contains("table2, figure4"), "{err}");
+        // Each experiment defaults to its committed scale, and the
+        // flags override it one at a time.
+        let traffic = Command::parse(&sv(&["reproduce", "traffic", "--warmup", "500"]));
+        assert!(
+            matches!(
+                traffic,
+                Ok(Command::Reproduce {
+                    insts: 240_000,
+                    warmup: 500,
+                    ..
+                })
+            ),
+            "{traffic:?}"
+        );
         for args in [
             sv(&["reproduce", "table2", "--svg", "d"]),
             sv(&["reproduce", "figure4", "--svg", "d", "--json"]),
+            sv(&["reproduce", "multicore", "--svg", "d"]),
         ] {
             let err = Command::parse(&args).expect_err("no charts");
             assert!(err.contains("--svg"), "{err}");

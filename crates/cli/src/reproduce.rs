@@ -1,6 +1,15 @@
-//! `reproduce NAME`: the paper's Table 2, Figures 4–7, headline and
-//! ablations, each a name, a grid builder and a text renderer whose
-//! default-scale text is the committed `results/NAME.txt`.
+//! `reproduce NAME`: every experiment whose output the repository
+//! commits, each a name, its committed scale, a grid and what it prints
+//! from the grid's results. The paper's Table 2, Figures 4–7, headline
+//! and ablations print `results/NAME.txt`; the data artifacts `policy`,
+//! `ladder`, `reliability`, `traffic` and `multicore` print a table,
+//! and with `--json` the committed `BENCH_NAME.json`.
+
+mod ladder;
+mod multicore;
+mod policy;
+mod reliability;
+mod traffic;
 
 use std::fmt::{self, Write as _};
 
@@ -13,30 +22,66 @@ use vsv_workloads::{
     high_mr_names, spec2k_twins, table2_reference, twin, AccessPattern, WorkloadParams,
 };
 
-use crate::sweep::{failure_summary, report_exit_code};
+use crate::sweep::failure_summary;
 use crate::Command;
 
 /// Renders an experiment's grid-ordered results as its text.
 type Render = fn(&Experiment, &[RunResult], &mut String) -> fmt::Result;
 
-/// One paper experiment: the grid it runs and the text it prints.
-pub(crate) struct Reproduction {
-    /// The `reproduce NAME` name, and the `results/NAME.txt` file.
-    pub(crate) name: &'static str,
-    grid: fn(Experiment) -> Sweep,
-    render: Render,
+/// Builds a data artifact from its grid's results, making any further
+/// runs it needs on the given worker count; `Err` is the failure
+/// summary of a run that failed.
+type Build = fn(&Experiment, Vec<RunResult>, usize) -> Result<Artifact, String>;
+
+/// What an experiment prints from its grid's results.
+enum Output {
+    /// A paper table; `--json` prints the grid's `SweepReport`.
+    Paper(Render),
+    /// A data artifact; `--json` prints its `BENCH_NAME.json`.
+    Data(Build),
 }
 
-/// Every experiment, in the paper's order.
+/// One experiment: its committed scale, the grid it runs and what it
+/// prints.
+pub(crate) struct Reproduction {
+    /// The `reproduce NAME` name, and the `results/NAME.txt` or
+    /// `BENCH_NAME.json` file.
+    pub(crate) name: &'static str,
+    /// The committed scale, which `--insts` and `--warmup` override.
+    pub(crate) scale: Experiment,
+    grid: fn(Experiment) -> Sweep,
+    output: Output,
+}
+
+/// The scale of every committed result but `traffic`'s.
+const STANDARD: Experiment = Experiment {
+    warmup_instructions: 100_000,
+    instructions: 300_000,
+};
+
+/// `traffic`'s scale: enough requests per window for a p999 to
+/// separate the policies.
+const TRAFFIC: Experiment = Experiment {
+    warmup_instructions: 60_000,
+    instructions: 240_000,
+};
+
+/// Every experiment: the paper's, in its order, then the data
+/// artifacts.
 #[rustfmt::skip]
-static EXPERIMENTS: [Reproduction; 7] = [
-    Reproduction { name: "table2", grid: table2_grid, render: table2 },
-    Reproduction { name: "figure4", grid: figure4_grid, render: figure4 },
-    Reproduction { name: "figure5", grid: figure5_grid, render: figure5 },
-    Reproduction { name: "figure6", grid: figure6_grid, render: figure6 },
-    Reproduction { name: "figure7", grid: tk_grid, render: figure7 },
-    Reproduction { name: "headline", grid: tk_grid, render: headline },
-    Reproduction { name: "ablations", grid: ablations_grid, render: ablations },
+static EXPERIMENTS: [Reproduction; 12] = [
+    Reproduction { name: "table2", scale: STANDARD, grid: table2_grid, output: Output::Paper(table2) },
+    Reproduction { name: "figure4", scale: STANDARD, grid: figure4_grid, output: Output::Paper(figure4) },
+    Reproduction { name: "figure5", scale: STANDARD, grid: figure5_grid, output: Output::Paper(figure5) },
+    Reproduction { name: "figure6", scale: STANDARD, grid: figure6_grid, output: Output::Paper(figure6) },
+    Reproduction { name: "figure7", scale: STANDARD, grid: tk_grid, output: Output::Paper(figure7) },
+    Reproduction { name: "headline", scale: STANDARD, grid: tk_grid, output: Output::Paper(headline) },
+    Reproduction { name: "ablations", scale: STANDARD, grid: ablations_grid, output: Output::Paper(ablations) },
+    Reproduction { name: "policy", scale: STANDARD, grid: policy::grid, output: Output::Data(policy::build) },
+    Reproduction { name: "ladder", scale: STANDARD, grid: ladder::grid, output: Output::Data(ladder::build) },
+    Reproduction { name: "reliability", scale: STANDARD, grid: reliability::grid, output: Output::Data(reliability::build) },
+    Reproduction { name: "traffic", scale: TRAFFIC, grid: traffic::grid, output: Output::Data(traffic::build) },
+    Reproduction { name: "multicore", scale: STANDARD, grid: multicore::grid, output: Output::Data(multicore::build) },
 ];
 
 /// Looks an experiment up by name; an unknown name is a usage error
@@ -70,34 +115,77 @@ pub(crate) fn execute(cmd: Command) -> Result<(String, i32), String> {
         instructions: insts,
     };
     let experiment = find(&name).expect("Command::parse validated the name");
-    let report = (experiment.grid)(e).report(resolve_workers(workers));
-    experiment.finish(&e, report, json, svg.as_deref())
+    let workers = resolve_workers(workers);
+    let report = (experiment.grid)(e).report(workers);
+    experiment.finish(&e, report, workers, json, svg.as_deref())
 }
 
+/// A data artifact's two printed forms.
+pub(crate) struct Artifact {
+    text: String,
+    json: String,
+}
+
+impl Artifact {
+    /// `report` rendered as text and as pretty JSON (no trailing
+    /// newline, the form of the committed `BENCH_NAME.json`).
+    fn of<R: serde::Serialize>(
+        report: &R,
+        render: fn(&R, &mut String) -> fmt::Result,
+    ) -> Result<Self, String> {
+        let mut text = String::new();
+        render(report, &mut text).expect("formatting into a String cannot fail");
+        let json = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
+        Ok(Artifact { text, json })
+    }
+}
+
+/// Baseline MPKI above which a twin counts as memory-bound in the data
+/// artifacts.
+const MEMORY_BOUND_MPKI: f64 = 4.0;
+
+/// Counter-PRNG seed of the error model in the data artifacts (fixed:
+/// each is a deterministic artifact).
+const ERROR_SEED: u64 = 42;
+
 impl Reproduction {
-    /// Turns a finished report into the printed text and exit code:
-    /// the `--json` report, else the failure summary (exit 1) when a
-    /// cell failed, else the experiment's text, after writing figure
-    /// 4's charts into `svg` (which `Command::parse` accepts for
-    /// figure4 alone).
+    /// Turns a finished report into the printed text and exit code: a
+    /// paper experiment's `--json` report, else the failure summary
+    /// (exit 1) when a cell failed, else the experiment's text (or a
+    /// data artifact's JSON), after writing figure 4's charts into
+    /// `svg` (which `Command::parse` accepts for figure4 alone). A data
+    /// artifact's SLO verdicts are its data, not an exit code.
     fn finish(
         &self,
         e: &Experiment,
         report: SweepReport,
+        workers: usize,
         json: bool,
         svg: Option<&str>,
     ) -> Result<(String, i32), String> {
-        let code = report_exit_code(&report);
-        if json {
-            let text = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-            return Ok((text, code));
-        }
+        let code = i32::from(report.failed_jobs() > 0);
+        let render = match self.output {
+            Output::Paper(_) if json => {
+                let text = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+                return Ok((text, code));
+            }
+            Output::Paper(render) => render,
+            Output::Data(build) => {
+                let built = failure_summary(&report)
+                    .map_or_else(|| build(e, report.into_results(), workers), Err);
+                return Ok(match built {
+                    Ok(artifact) if json => (artifact.json, 0),
+                    Ok(artifact) => (artifact.text, 0),
+                    Err(summary) => (summary, 1),
+                });
+            }
+        };
         if let Some(summary) = failure_summary(&report) {
             return Ok((summary, code));
         }
         let runs = report.into_results();
         let mut out = String::new();
-        (self.render)(e, &runs, &mut out).expect("formatting into a String cannot fail");
+        render(e, &runs, &mut out).expect("formatting into a String cannot fail");
         if let Some(dir) = svg {
             debug_assert_eq!(self.name, "figure4", "--svg draws figure4 only");
             std::fs::create_dir_all(dir).map_err(|e| format!("--svg {dir}: {e}"))?;
@@ -683,17 +771,37 @@ mod tests {
         sweep.jobs_mut()[1].config.inject_fault = Some(vsv::FaultKind::Deadlock);
         let report = sweep.report(2);
         let (json, code) = figure5
-            .finish(&e, report.clone(), true, None)
+            .finish(&e, report.clone(), 2, true, None)
             .expect("json");
         assert_eq!(code, 1);
         assert!(json.contains("Deadlock"), "{json}");
-        let (text, code) = figure5.finish(&e, report, false, None).expect("text");
+        let (text, code) = figure5.finish(&e, report, 2, false, None).expect("text");
         assert_eq!(code, 1);
         assert!(
             text.contains(&format!("1 of {cells} sweep cells failed")),
             "{text}"
         );
         assert!(text.contains("cell #1"), "{text}");
+    }
+
+    #[test]
+    fn a_data_artifact_with_a_failed_cell_prints_the_failure_summary_in_both_forms() {
+        let e = Experiment {
+            warmup_instructions: 1_000,
+            instructions: 3_000,
+        };
+        let traffic = find("traffic").expect("known experiment");
+        let mut sweep = (traffic.grid)(e);
+        sweep.jobs_mut()[2].config.inject_fault = Some(vsv::FaultKind::Deadlock);
+        let report = sweep.report(2);
+        for json in [false, true] {
+            let (out, code) = traffic
+                .finish(&e, report.clone(), 2, json, None)
+                .expect("a summary");
+            assert_eq!(code, 1);
+            assert!(out.starts_with("1 of 5 sweep cells failed:\n"), "{out}");
+            assert!(out.contains("cell #2 (mcf)"), "{out}");
+        }
     }
 
     #[test]
@@ -707,7 +815,9 @@ mod tests {
         let figure4 = find("figure4").expect("known experiment");
         let report = (figure4.grid)(e).report(2);
         let svg = dir.display().to_string();
-        let (text, code) = figure4.finish(&e, report, false, Some(&svg)).expect("text");
+        let (text, code) = figure4
+            .finish(&e, report, 2, false, Some(&svg))
+            .expect("text");
         assert_eq!(code, 0);
         assert!(
             text.ends_with(&format!("(svg written to {svg}/figure4_*.svg)\n")),

@@ -1,40 +1,29 @@
-//! Reliability-vs-energy frontier under the low-voltage timing-error
-//! model: `error-backoff` against `always-high` (the reliability
-//! ceiling) and `dual-fsm` (the savings ceiling) over the SPEC2K twin
-//! mix, all at the same per-read error rate. Emits
-//! `BENCH_reliability.json` via the in-tree serde.
+//! **reliability**: the reliability-vs-energy frontier under the
+//! low-voltage timing-error model. `error-backoff` against
+//! `always-high` (the reliability ceiling) and `dual-fsm` (the savings
+//! ceiling) over the SPEC2K twin mix, all at a 5 % per-read error rate
+//! at VDDL (`BENCH_reliability.json`).
 //!
-//! The interesting question: how much of `always-high`'s SLO
-//! compliance can an error-aware governor recover while keeping how
-//! much of `dual-fsm`'s energy savings? The headline verdict per
-//! memory-bound twin:
+//! The question: how much of `always-high`'s SLO compliance can an
+//! error-aware governor recover while keeping how much of `dual-fsm`'s
+//! energy savings? The verdict per memory-bound twin:
 //!
-//! * `recovers_reliability` — `error-backoff` closes at least half
-//!   of the `dual-fsm` → `always-high` retry-rate gap;
+//! * `recovers_reliability` — `error-backoff` closes at least half of
+//!   the `dual-fsm` → `always-high` retry-rate gap;
 //! * `keeps_savings` — `error-backoff` keeps at least half of
 //!   `dual-fsm`'s power saving over the disabled baseline;
 //! * `frontier_holds` — both at once.
-//!
-//! Usage: `cargo run --release -p vsv-bench --bin reliability_frontier`
-//! Scale via `VSV_INSTS` / `VSV_WARMUP`. Extra environment:
-//!
-//! * `VSV_ERROR_RATE` — per-read error probability at VDDL
-//!   (default 0.05);
-//! * `VSV_RELIABILITY_JSON` — output path (default
-//!   `BENCH_reliability.json` in the working directory);
-//! * `VSV_WORKERS` — sweep worker threads (results are bit-identical
-//!   for any worker count).
 
-use vsv::{default_workers, Comparison, PolicySpec, SloSpec, Sweep, SystemConfig};
-use vsv_bench::{announce_workers, experiment_from_env, results_or_die, rule, CsvSink};
+use std::fmt::{self, Write as _};
+
+use vsv::{Experiment, PolicySpec, RunResult, SloSpec, Sweep, SystemConfig};
 use vsv_workloads::spec2k_twins;
 
-/// Per-read error probability at VDDL unless `VSV_ERROR_RATE` is set.
-const DEFAULT_ERROR_RATE: f64 = 0.05;
+use super::{Artifact, ERROR_SEED, MEMORY_BOUND_MPKI};
+use crate::compare::Cost;
 
-/// Counter-PRNG seed for the error model (fixed: the frontier is a
-/// deterministic artifact).
-const ERROR_SEED: u64 = 42;
+/// Per-read error probability at VDDL.
+const ERROR_RATE: f64 = 0.05;
 
 /// The SLO every cell is judged against: at most 10 000 retries per
 /// million fills and at most 8 ns of p99 added read latency (one
@@ -46,17 +35,17 @@ const SLO: SloSpec = SloSpec {
     max_request_p999_ns: None,
 };
 
-/// Baseline MPKI above which a twin counts as memory-bound.
-const MEMORY_BOUND_MPKI: f64 = 4.0;
+/// The config labels, in grid order.
+const LABELS: [&str; 4] = ["disabled", "always-high", "dual-fsm", "error-backoff"];
 
 /// One (twin, config) cell, relative to the same twin's baseline run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, serde::Serialize)]
 struct Record {
     /// Workload (SPEC2K twin) name.
     workload: String,
     /// Config label (`"disabled"` or a policy name).
     config: String,
-    /// Demand MPKI (to identify memory-bound twins).
+    /// The baseline's demand MPKI (to identify memory-bound twins).
     mpki: f64,
     /// Total energy in the measured window (mJ).
     energy_mj: f64,
@@ -77,7 +66,7 @@ struct Record {
 }
 
 /// The frontier verdict for one memory-bound twin.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, serde::Serialize)]
 struct FrontierPoint {
     /// Workload name.
     workload: String,
@@ -101,8 +90,8 @@ struct FrontierPoint {
     frontier_holds: bool,
 }
 
-/// The emitted report.
-#[derive(Debug, Clone, serde::Serialize)]
+/// The `BENCH_reliability.json` report.
+#[derive(Debug, serde::Serialize)]
 struct Report {
     /// Measured instructions per run.
     instructions_per_run: u64,
@@ -123,15 +112,11 @@ struct Report {
     frontier_holds_somewhere: bool,
 }
 
-fn main() {
-    let e = experiment_from_env();
-    let error_rate = std::env::var("VSV_ERROR_RATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_ERROR_RATE);
-    let twins = spec2k_twins();
+/// Every twin under the baseline, `always-high`, `dual-fsm` and
+/// `error-backoff`, each with the error model and the SLO.
+pub(super) fn grid(e: Experiment) -> Sweep {
     let reliability = |c: SystemConfig| {
-        c.with_error_rate(error_rate)
+        c.with_error_rate(ERROR_RATE)
             .with_error_seed(ERROR_SEED)
             .with_slo(Some(SLO))
     };
@@ -145,83 +130,37 @@ fn main() {
         reliability(SystemConfig::with_policy(PolicySpec::DualFsm)),
         reliability(SystemConfig::with_policy(PolicySpec::ErrorBackoff).with_ladder_depth(4)),
     ];
-    let labels = ["disabled", "always-high", "dual-fsm", "error-backoff"];
+    Sweep::over_grid(e, &spec2k_twins(), &configs)
+}
 
-    println!(
-        "Reliability frontier: {} configs × {} twins ({} insts/run, \
-         error rate {error_rate} at VDDL, SLO {}/{} ppm/ns)",
-        configs.len(),
-        twins.len(),
-        e.instructions,
-        SLO.max_retry_rate_ppm,
-        SLO.max_added_latency_p99_ns,
-    );
-    let workers = default_workers();
-    announce_workers(workers);
-
-    let sweep = Sweep::over_grid(e, &twins, &configs);
-    let results = results_or_die(sweep.report(workers));
-
-    let mut csv = CsvSink::from_env("reliability_frontier");
-    csv.row(&[
-        "workload",
-        "config",
-        "power_saving_pct",
-        "retry_rate_ppm",
-        "added_latency_p99_ns",
-        "slo_compliant",
-    ]);
-    println!(
-        "{:<10} {:<14} | {:>9} {:>7} | {:>9} {:>7} {:>5}",
-        "twin", "config", "slowdown%", "saved%", "retry ppm", "p99 ns", "SLO"
-    );
-    rule(72);
-
+/// Builds the report from [`grid`]'s results.
+pub(super) fn build(e: &Experiment, runs: Vec<RunResult>, _: usize) -> Result<Artifact, String> {
     let mut records: Vec<Record> = Vec::new();
-    for (twin, chunk) in twins.iter().zip(results.chunks(labels.len())) {
+    for (twin, chunk) in spec2k_twins().iter().zip(runs.chunks(LABELS.len())) {
         let base = &chunk[0];
-        for (label, r) in labels.iter().zip(chunk) {
-            let cmp = Comparison::of(base, r);
-            let slo = r.slo.expect("every cell carries the SLO judgment");
-            let rec = Record {
-                workload: twin.name.to_string(),
+        for (label, r) in LABELS.iter().zip(chunk) {
+            let cost = Cost::of(base, r);
+            let slo = r.slo.ok_or("a reliability cell ran without its SLO")?;
+            records.push(Record {
+                workload: twin.name.to_owned(),
                 config: (*label).to_owned(),
                 mpki: base.mpki,
-                energy_mj: r.energy_pj / 1e9,
-                slowdown_pct: cmp.perf_degradation_pct,
-                power_saving_pct: cmp.power_saving_pct,
+                energy_mj: cost.energy_mj,
+                slowdown_pct: cost.slowdown_pct,
+                power_saving_pct: cost.power_saving_pct,
                 read_errors: r.read_errors,
                 read_retries: r.read_retries,
                 retry_rate_ppm: slo.retry_rate_ppm,
                 added_latency_p99_ns: slo.added_latency_p99_ns,
                 slo_compliant: slo.compliant,
-            };
-            println!(
-                "{:<10} {:<14} | {:>9.2} {:>7.2} | {:>9} {:>7} {:>5}",
-                rec.workload,
-                rec.config,
-                rec.slowdown_pct,
-                rec.power_saving_pct,
-                rec.retry_rate_ppm,
-                rec.added_latency_p99_ns,
-                if rec.slo_compliant { "ok" } else { "VIOL" },
-            );
-            csv.row(&[
-                &rec.workload,
-                &rec.config,
-                &format!("{:.4}", rec.power_saving_pct),
-                &rec.retry_rate_ppm.to_string(),
-                &rec.added_latency_p99_ns.to_string(),
-                &rec.slo_compliant.to_string(),
-            ]);
-            records.push(rec);
+            });
         }
     }
 
     // The verdict over the memory-bound twins, where DVS (and thus
     // low-voltage exposure) actually bites.
     let mut frontier = Vec::new();
-    for chunk in records.chunks(labels.len()) {
+    for chunk in records.chunks(LABELS.len()) {
         if chunk[0].mpki <= MEMORY_BOUND_MPKI {
             continue;
         }
@@ -247,15 +186,60 @@ fn main() {
             frontier_holds: recovers_reliability && keeps_savings,
         });
     }
-    let frontier_holds_somewhere = frontier.iter().any(|f| f.frontier_holds);
+    let report = Report {
+        instructions_per_run: e.instructions,
+        warmup_per_run: e.warmup_instructions,
+        error_rate: ERROR_RATE,
+        error_seed: ERROR_SEED,
+        slo: SLO,
+        records,
+        frontier_holds_somewhere: frontier.iter().any(|f| f.frontier_holds),
+        frontier,
+    };
+    Artifact::of(&report, render)
+}
 
-    rule(72);
-    println!(
+/// Every cell with its SLO verdict, then the memory-bound frontier.
+fn render(report: &Report, out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "Reliability frontier: {} configs × {} twins ({} insts/run, \
+         error rate {} at VDDL, SLO {}/{} ppm/ns)",
+        LABELS.len(),
+        report.records.len() / LABELS.len(),
+        report.instructions_per_run,
+        report.error_rate,
+        report.slo.max_retry_rate_ppm,
+        report.slo.max_added_latency_p99_ns,
+    )?;
+    writeln!(
+        out,
+        "{:<10} {:<14} | {:>9} {:>7} | {:>9} {:>7} {:>5}",
+        "twin", "config", "slowdown%", "saved%", "retry ppm", "p99 ns", "SLO"
+    )?;
+    writeln!(out, "{:-<72}", "")?;
+    for r in &report.records {
+        writeln!(
+            out,
+            "{:<10} {:<14} | {:>9.2} {:>7.2} | {:>9} {:>7} {:>5}",
+            r.workload,
+            r.config,
+            r.slowdown_pct,
+            r.power_saving_pct,
+            r.retry_rate_ppm,
+            r.added_latency_p99_ns,
+            if r.slo_compliant { "ok" } else { "VIOL" },
+        )?;
+    }
+    writeln!(out, "{:-<72}", "")?;
+    writeln!(
+        out,
         "{:<10} | {:>9} {:>9} {:>9} | {:>7} {:>7}  (memory-bound, MPKI > {MEMORY_BOUND_MPKI})",
         "twin", "dual ppm", "bkff ppm", "high ppm", "dual s%", "bkff s%"
-    );
-    for f in &frontier {
-        println!(
+    )?;
+    for f in &report.frontier {
+        writeln!(
+            out,
             "{:<10} | {:>9} {:>9} {:>9} | {:>7.2} {:>7.2}{}",
             f.workload,
             f.dual_retry_ppm,
@@ -268,26 +252,11 @@ fn main() {
             } else {
                 ""
             }
-        );
+        )?;
     }
-    println!("frontier holds somewhere: {frontier_holds_somewhere}");
-    if let Some(path) = csv.path() {
-        println!("csv mirrored to {}", path.display());
-    }
-
-    let out = Report {
-        instructions_per_run: e.instructions,
-        warmup_per_run: e.warmup_instructions,
-        error_rate,
-        error_seed: ERROR_SEED,
-        slo: SLO,
-        records,
-        frontier,
-        frontier_holds_somewhere,
-    };
-    let path = std::env::var("VSV_RELIABILITY_JSON")
-        .unwrap_or_else(|_| "BENCH_reliability.json".to_string());
-    let json = serde_json::to_string_pretty(&out).expect("report serializes");
-    std::fs::write(&path, json).expect("report written");
-    println!("wrote {path}");
+    writeln!(
+        out,
+        "frontier holds somewhere: {}",
+        report.frontier_holds_somewhere
+    )
 }

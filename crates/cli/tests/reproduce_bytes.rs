@@ -1,11 +1,12 @@
-//! Byte-exact text of every `reproduce NAME` experiment at a tiny
-//! instruction count, its `--json` report, and the usage error for an
-//! unknown name. Each experiment is one grid plus one renderer; this
-//! suite pins what the pair prints, byte for byte.
+//! Byte-exact text of every paper `reproduce NAME` experiment at a
+//! tiny instruction count, its `--json` report, the data artifacts'
+//! worker-count independence and JSON shape, and the usage error for
+//! an unknown name. Each paper experiment is one grid plus one
+//! renderer; this suite pins what the pair prints, byte for byte.
 
 use std::process::Command as Process;
 
-use vsv_cli::{execute, Command};
+use vsv_cli::{execute, execute_with_exit, Command};
 
 /// FNV-1a over the printed output.
 fn fnv(text: &str) -> u64 {
@@ -64,6 +65,40 @@ fn json_prints_the_experiments_sweep_report() {
     assert_eq!(report.jobs, cells);
     assert_eq!(report.records.len(), cells);
     assert_eq!(report.failed_jobs(), 0);
+}
+
+/// The top-level keys of a JSON object, in order.
+fn keys(json: &str) -> Vec<String> {
+    let value: serde_json::Value = serde_json::from_str(json).expect("valid JSON");
+    let map = value.as_map().expect("a JSON object");
+    map.iter().map(|(key, _)| key.clone()).collect()
+}
+
+#[test]
+fn data_artifacts_print_the_same_bytes_at_any_worker_count() {
+    for name in ["policy", "ladder", "reliability", "traffic", "multicore"] {
+        let run = |workers, json| {
+            let (out, code) = execute_with_exit(Command::Reproduce {
+                name: name.to_owned(),
+                insts: 3_000,
+                warmup: 1_000,
+                workers,
+                json,
+                svg: None,
+            })
+            .expect("reproduce runs");
+            assert_eq!(code, 0, "{name}: {out}");
+            out
+        };
+        let (text, json) = (run(1, false), run(1, true));
+        assert_eq!(text, run(2, false), "{name} text");
+        assert_eq!(json, run(2, true), "{name} JSON");
+        assert!(text.ends_with('\n') && !json.ends_with('\n'), "{name}");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let committed = std::fs::read_to_string(format!("{path}/BENCH_{name}.json"))
+            .expect("the committed artifact");
+        assert_eq!(keys(&json), keys(&committed), "{name} top-level keys");
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The numbers EXPERIMENTS.md quotes must be the numbers the recorded
 //! runs printed: its headline table against `results/headline.txt`,
-//! and its Table 2 rows against `results/table2.txt`. CI regenerates
-//! those files with `vsv-cli reproduce NAME` and diffs them, so a
-//! change that moves a paper number has to move the prose with it.
+//! its Table 2 rows against `results/table2.txt`, and its multicore
+//! table against `BENCH_multicore.json`. CI regenerates those files
+//! with `vsv-cli reproduce NAME` and diffs them, so a change that
+//! moves a recorded number has to move the prose with it.
 
 use std::path::PathBuf;
 
@@ -81,4 +82,52 @@ fn experiments_table2_rows_match_the_recorded_run() {
         })
         .collect();
     assert_eq!(quoted, expected, "EXPERIMENTS.md Table 2 vs results/");
+}
+
+#[test]
+fn experiments_multicore_table_matches_the_recorded_run() {
+    let doc = read("EXPERIMENTS.md");
+    let bench: serde_json::Value =
+        serde_json::from_str(&read("BENCH_multicore.json")).expect("valid JSON");
+    let records = bench
+        .get("records")
+        .and_then(|r| r.as_seq())
+        .expect("records");
+    // Rows "| twin | cores | low residency % | slowdown % | power saved % |",
+    // a subset of the recorded (twin, cores) cells.
+    let quoted: Vec<Vec<String>> = section(&doc, "## Multicore scaling")
+        .into_iter()
+        .filter(|l| l.starts_with("| ") && !l.starts_with("| twin"))
+        .map(|l| {
+            l.split('|')
+                .map(|c| c.trim().trim_matches('*').to_owned())
+                .filter(|c| !c.is_empty())
+                .collect()
+        })
+        .collect();
+    assert!(quoted.len() >= 5, "{quoted:?}");
+    for row in &quoted {
+        let record = records
+            .iter()
+            .find(|r| {
+                r.get("workload").and_then(|w| w.as_str()) == Some(row[0].as_str())
+                    && r.get("cores")
+                        .and_then(|c| c.as_u64())
+                        .map(|c| c.to_string())
+                        == Some(row[1].clone())
+            })
+            .unwrap_or_else(|| panic!("no recorded cell for {row:?}"));
+        let field = |name: &str| record.get(name).and_then(|v| v.as_f64()).expect(name);
+        let recorded = vec![
+            row[0].clone(),
+            row[1].clone(),
+            format!("{:.1}", field("low_residency_pct")),
+            format!("{:.2}", field("slowdown_pct")),
+            format!("{:.1}", field("power_saving_pct")),
+        ];
+        assert_eq!(
+            row, &recorded,
+            "EXPERIMENTS.md multicore table vs BENCH_multicore.json"
+        );
+    }
 }

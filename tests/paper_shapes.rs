@@ -1,7 +1,7 @@
 //! Cross-crate integration tests asserting the paper's *qualitative*
 //! results end-to-end: who wins, in which direction, and by roughly
-//! what ordering. Quantitative reproduction lives in the `vsv-bench`
-//! binaries (see EXPERIMENTS.md); these tests guard the shapes.
+//! what ordering. Quantitative reproduction is `vsv-cli reproduce NAME`
+//! (see EXPERIMENTS.md); these tests guard the shapes.
 
 use vsv::{Comparison, DownPolicy, Experiment, SystemConfig, UpPolicy};
 use vsv_workloads::{twin, WorkloadParams};
