@@ -422,7 +422,10 @@ fn stress_merge(e: Experiment, cells: usize, mode: &str, dir: &Path) -> MergeRss
 }
 
 fn main() {
-    let e = experiment_from_env();
+    let e = experiment_from_env().unwrap_or_else(|msg| {
+        eprintln!("campaign_scale: {msg}");
+        std::process::exit(2)
+    });
     match std::env::var("VSV_CAMPAIGN_ROLE").as_deref() {
         Ok("shard") => return role_shard(e),
         Ok("merge") => return role_merge(e),

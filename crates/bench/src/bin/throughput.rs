@@ -167,7 +167,10 @@ fn timed_run(
 }
 
 fn main() {
-    let e = experiment_from_env();
+    let e = experiment_from_env().unwrap_or_else(|msg| {
+        eprintln!("throughput: {msg}");
+        std::process::exit(2)
+    });
     let reps: u32 = std::env::var("VSV_THROUGHPUT_REPS")
         .ok()
         .and_then(|v| v.parse().ok())

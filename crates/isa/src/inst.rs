@@ -8,7 +8,6 @@ use crate::{ArchReg, OpClass};
 ///
 /// Instructions are 4 bytes wide (Alpha-like); generators advance the PC
 /// by [`Pc::STEP`] per instruction on the fall-through path.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Pc(pub u64);
 
@@ -30,7 +29,6 @@ impl fmt::Display for Pc {
 }
 
 /// A byte address in the simulated data address space.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Addr(pub u64);
 
@@ -57,7 +55,6 @@ impl fmt::Display for Addr {
 /// Flavor of a control-transfer instruction, as seen by the branch
 /// predictor (conditional branches consult the direction predictor;
 /// calls push and returns pop the return-address stack).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional direct branch.
@@ -71,7 +68,6 @@ pub enum BranchKind {
 }
 
 /// Resolved outcome of a control-transfer instruction.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchInfo {
     /// What kind of branch this is.
@@ -318,52 +314,6 @@ impl fmt::Debug for Inst {
             .field("mem_addr", &self.mem_addr())
             .field("branch", &self.branch_info())
             .finish()
-    }
-}
-
-/// The logical fields, the serialized form of an [`Inst`].
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct InstFields {
-    pc: Pc,
-    op: OpClass,
-    srcs: [Option<ArchReg>; 2],
-    dst: Option<ArchReg>,
-    mem_addr: Option<Addr>,
-    branch: Option<BranchInfo>,
-}
-
-#[cfg(feature = "serde")]
-impl serde::Serialize for Inst {
-    fn to_content(&self) -> serde::Content {
-        serde::Serialize::to_content(&InstFields {
-            pc: self.pc,
-            op: self.op,
-            srcs: self.srcs(),
-            dst: self.dst(),
-            mem_addr: self.mem_addr(),
-            branch: self.branch_info(),
-        })
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for Inst {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let i = <InstFields as serde::Deserialize>::from_content(content)?;
-        if i.mem_addr.is_some() != i.op.is_mem() || i.branch.is_some() != (i.op == OpClass::Branch)
-        {
-            return Err(serde::Error::custom(format!(
-                "an {} op cannot carry mem_addr {:?} and branch {:?}",
-                i.op, i.mem_addr, i.branch
-            )));
-        }
-        let (payload, flags) = match (i.mem_addr, i.branch) {
-            (Some(a), _) => (a.0, 0),
-            (None, Some(b)) => (b.target.0, branch_flags(b)),
-            (None, None) => (0, 0),
-        };
-        Ok(Self::pack(i.pc, i.op, i.srcs, i.dst, payload, flags))
     }
 }
 

@@ -18,7 +18,6 @@ use std::fmt;
 /// assert!(OpClass::FpMulDiv.is_fp());
 /// assert!(!OpClass::Branch.is_mem());
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
     /// Single-cycle integer arithmetic/logic (also address generation).

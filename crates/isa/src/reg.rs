@@ -21,7 +21,6 @@ use std::fmt;
 /// assert!(f7.is_fp());
 /// assert_ne!(r3, f7);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArchReg(pub(crate) u8);
 

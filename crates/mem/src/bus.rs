@@ -7,7 +7,6 @@
 //! its response beats — the DRAM latency does not hold the bus.
 
 /// Bus geometry and timing.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusConfig {
     /// Width of one beat in bytes.

@@ -9,7 +9,6 @@ use vsv_isa::Addr;
 use crate::recency::{self, RANK};
 
 /// Geometry and latency of one cache level.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes. Must be `assoc * block_bytes * sets`.
@@ -103,7 +102,6 @@ impl CacheConfig {
 }
 
 /// Hit/miss/eviction counters for one cache.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
@@ -138,7 +136,6 @@ impl CacheStats {
 }
 
 /// Replacement policy for a [`Cache`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplacementPolicy {
     /// True least-recently-used: hits refresh recency.
@@ -154,7 +151,6 @@ pub enum ReplacementPolicy {
 const DIRTY: u8 = !RANK;
 
 /// A block displaced by a fill.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// Address of the evicted block.

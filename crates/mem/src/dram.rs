@@ -1,7 +1,6 @@
 //! Main memory: infinite capacity, fixed latency (Table 1).
 
 /// Main-memory timing parameters.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Access latency in nanoseconds (address-in to data-ready).

@@ -204,7 +204,6 @@ enum Event {
 }
 
 /// Configuration of the whole hierarchy.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy)]
 pub struct HierarchyConfig {
     /// Instruction L1 geometry.
@@ -302,7 +301,6 @@ impl HierarchyConfig {
 }
 
 /// Aggregate statistics for the hierarchy.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HierarchyStats {
     /// Demand (non-prefetch) L2 misses detected.

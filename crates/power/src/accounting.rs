@@ -16,7 +16,6 @@ use crate::tech::TechParams;
 pub type ActivitySample = [u32; StructureId::ALL.len()];
 
 /// How deterministic clock gating treats partially-busy structures.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DcgModel {
     /// A structure is either fully clocked (any access this cycle) or
@@ -33,7 +32,6 @@ pub enum DcgModel {
 }
 
 /// Full power-model configuration.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerConfig {
     /// Technology/supply constants.
@@ -144,8 +142,7 @@ impl PowerConfig {
 }
 
 /// Integrated energy totals for a run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EnergyBreakdown {
     /// Per-structure energy in picojoules, by [`StructureId::index`].
     pub per_structure_pj: [f64; StructureId::ALL.len()],

@@ -152,7 +152,6 @@ impl VoltageCurve {
 /// assert_eq!(ladder.voltage(3), 1.2);
 /// assert_eq!(ladder.step_ramp_ns(0, &t), 4); // 0.2 V at 0.05 V/ns
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageLadder {
     depth: usize,

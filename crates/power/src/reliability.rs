@@ -50,7 +50,6 @@ pub fn counter_rng(seed: u64, counter: u64) -> u64 {
 /// `v = vddl`, and scales quadratically with the voltage deficit in
 /// between (and beyond, for ladder levels below VDDL), clamped to
 /// `[0, 1]`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorCurve {
     /// Nominal supply: reads at (or above) this voltage never err.

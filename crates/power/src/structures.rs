@@ -14,7 +14,6 @@
 //! dual-supply network and scales with VDD.
 
 /// Which supply network a structure hangs off (Figure 1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VddDomain {
     /// Dual-supply network: scaled between VDDH and VDDL by VSV.
@@ -24,7 +23,6 @@ pub enum VddDomain {
 }
 
 /// One power-modeled processor structure.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StructureId {
     /// Fetch and decode logic.
@@ -108,7 +106,6 @@ impl StructureId {
 }
 
 /// Power parameters of one structure at VDDH.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructureParams {
     /// Which structure this is.

@@ -1,7 +1,6 @@
 //! Technology constants (TSMC 0.18 µm at 1 GHz, §3 of the paper).
 
 /// Process/supply parameters used throughout the power model.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechParams {
     /// Nominal (high) supply voltage. Paper: 1.8 V for TSMC 0.18 µm.

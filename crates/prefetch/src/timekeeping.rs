@@ -6,7 +6,6 @@ use crate::decay::DecayTable;
 use crate::predictor::AddressPredictor;
 
 /// Parameters of the Time-Keeping engine (paper §5.1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeKeepingConfig {
     /// Decay-counter resolution in nanoseconds (paper: 16 cycles).
@@ -39,7 +38,6 @@ impl TimeKeepingConfig {
 }
 
 /// Counters exposed by the engine.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimeKeepingStats {
     /// Dead-block predictions made.

@@ -6,7 +6,6 @@
 /// energies, applies clock gating to idle structures, and scales
 /// variable-VDD structures by the square of the instantaneous supply
 /// voltage (paper §5.2).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleActivity {
     /// Instructions fetched into the fetch queue.
@@ -80,8 +79,7 @@ impl CycleActivity {
 /// core). This is exactly the statistic VSV's FSMs sample: bucket 0 is
 /// the zero-issue evidence the down-FSM looks for, and the upper
 /// buckets are the ILP the up-FSM looks for.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct IssueHistogram {
     /// `buckets[n]` counts cycles that issued exactly `n` instructions;
     /// `buckets[8]` also absorbs anything wider.
@@ -134,7 +132,6 @@ impl IssueHistogram {
 }
 
 /// Whole-run counters maintained by the core.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Pipeline cycles executed.

@@ -41,7 +41,6 @@ impl Counters2 {
 }
 
 /// Which direction-prediction scheme the predictor uses.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredictorKind {
     /// Bimodal + gshare selected by a meta chooser (Table 1; the
@@ -55,7 +54,6 @@ pub enum PredictorKind {
 }
 
 /// Predictor table sizes.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchPredictorConfig {
     /// Direction scheme.

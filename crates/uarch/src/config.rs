@@ -1,7 +1,6 @@
 //! Core configuration (Table 1 of the paper).
 
 /// Execution latencies per op class, in pipeline cycles.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpLatencies {
     /// Integer ALU (single cycle).
@@ -36,7 +35,6 @@ impl OpLatencies {
 /// issue core with a 128-entry RUU, 64-entry LSQ, 8 integer ALUs, 2
 /// integer mul/div units, 4 FP ALUs, 4 FP mul/div units, and an
 /// 8-cycle branch-misprediction penalty.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Instructions fetched per cycle.

@@ -43,8 +43,7 @@ use crate::policy::{Decision, DvsPolicy, PolicySpec, PolicyStats};
 use crate::trace::{vdd_mv, FsmId, TraceEvent, TraceLevel};
 
 /// The controller's operating mode.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Mode {
     /// Full speed, VDDH — settled at ladder level 0 (the default).
     High,
@@ -130,7 +129,6 @@ const _: () = {
 };
 
 /// VSV configuration: decision policy plus circuit timing.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VsvConfig {
     /// Master switch; `false` models the baseline processor (always
@@ -235,8 +233,7 @@ pub struct TickPlan {
 }
 
 /// Residency and transition counters.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ModeStats {
     /// Nanoseconds spent in each [`Mode`], by [`Mode::index`].
     pub ns_in_mode: [u64; Mode::COUNT],

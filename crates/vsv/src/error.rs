@@ -16,8 +16,7 @@ use crate::controller::Mode;
 
 /// One controller mode change, as kept in the always-on diagnostic
 /// ring ([`SimError::Deadlock::recent_transitions`]).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ModeTransition {
     /// Simulated nanosecond at which the controller entered `mode`.
     pub at_ns: u64,
@@ -53,8 +52,7 @@ pub enum FaultKind {
 /// Produced by the `try_*` entry points ([`crate::System::try_run`],
 /// [`crate::Experiment::try_run`]) and recorded per grid cell by
 /// [`crate::Sweep`] as [`crate::JobOutcome::Failed`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum SimError {
     /// The machine stopped making forward progress — no instruction
     /// committed for the watchdog window (a model deadlock; indicates

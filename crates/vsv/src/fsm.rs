@@ -10,7 +10,6 @@
 //!   speeding up for.
 
 /// Policy for entering the low-power mode.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DownPolicy {
     /// Transition as soon as an L2 demand miss is detected (the
@@ -40,7 +39,6 @@ impl DownPolicy {
 }
 
 /// Policy for returning to the high-power mode.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpPolicy {
     /// Return when the *first* outstanding miss returns ("First-R" in

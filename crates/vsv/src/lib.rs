@@ -73,7 +73,6 @@
 // `-D warnings`, promoting these to errors.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-#[cfg(feature = "serde")]
 pub mod campaign;
 pub mod controller;
 pub mod error;
@@ -87,7 +86,6 @@ pub mod sweep;
 pub mod system;
 pub mod trace;
 
-#[cfg(feature = "serde")]
 pub use campaign::{Campaign, CampaignError, MergeOptions, MergeSummary};
 pub use controller::{Mode, ModeStats, TickPlan, VsvConfig, VsvController};
 pub use error::{FaultKind, ModeTransition, SimError};
@@ -105,10 +103,9 @@ pub use sweep::{
     Sweep, SweepJob, SweepReport,
 };
 pub use system::{System, SystemConfig, MAX_CORES};
-#[cfg(feature = "serde")]
-pub use trace::JsonlSink;
 pub use trace::{
-    vdd_mv, FsmId, ModeTrace, NullSink, SharedBuf, TraceEvent, TraceLevel, TraceSample, TraceSink,
+    vdd_mv, FsmId, JsonlSink, ModeTrace, NullSink, SharedBuf, TraceEvent, TraceLevel, TraceSample,
+    TraceSink,
 };
 pub use vsv_power::{ErrorCurve, VoltageCurve, VoltageLadder, MAX_LADDER_DEPTH};
 pub use vsv_workloads::{TrafficModel, TrafficSpec};

@@ -181,8 +181,7 @@ pub const REQ_LATENCY_BUCKETS: usize = 32;
 /// a.merge(&b);
 /// assert_eq!(a.get(CounterId::SupplyRamps), 3);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MetricsRegistry {
     /// Counter values, indexed by [`CounterId::index`].
     pub counters: [u64; CounterId::COUNT],
@@ -406,7 +405,6 @@ mod tests {
         assert_eq!(m.rows(), vec![("miss_returns", 7)]);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn registry_round_trips_through_json() {
         let mut m = MetricsRegistry::default();

@@ -63,7 +63,6 @@ pub enum Decision {
 /// Trigger/decline counters every policy reports, mirroring the dual
 /// FSMs' bookkeeping so [`crate::RunResult`] keeps its shape across
 /// policies.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyStats {
     /// Ramp-down decisions emitted.
@@ -183,7 +182,6 @@ impl Clone for Box<dyn DvsPolicy> {
 /// schemas. [`crate::VsvConfig::policy`] holds one;
 /// [`PolicySpec::build`] instantiates the live policy at controller
 /// construction.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PolicySpec {
     /// The paper's dual issue-rate-monitoring FSMs (the default),

@@ -6,8 +6,7 @@ use vsv_uarch::IssueHistogram;
 use crate::controller::ModeStats;
 
 /// Measured outcome of one simulation window.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RunResult {
     /// Workload name (empty if unset).
     pub workload: String,
@@ -60,25 +59,25 @@ pub struct RunResult {
     pub read_retries: u64,
     /// Open-loop requests that arrived in the window (0 with traffic
     /// off).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub requests_arrived: u64,
     /// Open-loop requests that completed service in the window.
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub requests_completed: u64,
     /// Requests still queued when the window closed (nonzero backlog
     /// = offered load exceeded service capacity).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub request_backlog: u64,
     /// Median request latency: the log2-bucket upper edge holding the
     /// window's 50th-percentile arrival → completion latency, ns
     /// (0 with traffic off or no completions).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub request_p50_ns: u64,
     /// 99th-percentile request latency (same bucket-edge convention).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub request_p99_ns: u64,
     /// 99.9th-percentile request latency (same convention).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub request_p999_ns: u64,
     /// The window's reliability outcome against the configured
     /// [`SloSpec`] (`None` when no SLO was set).
@@ -89,7 +88,7 @@ pub struct RunResult {
     /// and the top-level fields are the chip-wide aggregate (summed
     /// work and energy over the longest core's window). Empty for
     /// single-core runs.
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub core_results: Vec<RunResult>,
 }
 
@@ -108,8 +107,7 @@ impl RunResult {
 
 /// The paper's two headline metrics for a VSV run against its
 /// baseline (Figures 4–7).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Comparison {
     /// Increase in execution time, percent of the baseline
     /// (Figure 4 top).
@@ -149,8 +147,7 @@ impl Comparison {
 /// The tail-latency ceilings are optional so latency-only and
 /// reliability-only SLOs both express naturally; `None` means
 /// unbounded.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SloSpec {
     /// Maximum tolerated read-retry rate, in retries per million
     /// successful architectural fills.
@@ -161,10 +158,10 @@ pub struct SloSpec {
     pub max_added_latency_p99_ns: u64,
     /// Maximum tolerated 99th-percentile request latency, ns
     /// (traffic scenarios; `None` = unbounded).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub max_request_p99_ns: Option<u64>,
     /// Maximum tolerated 99.9th-percentile request latency, ns.
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub max_request_p999_ns: Option<u64>,
 }
 
@@ -243,8 +240,7 @@ impl SloSpec {
 
 /// One window's measured reliability and tail latency, judged against
 /// an [`SloSpec`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SloOutcome {
     /// Observed read-retry rate: retries per million successful
     /// architectural fills (0 when the window had no fills).
@@ -253,10 +249,10 @@ pub struct SloOutcome {
     pub added_latency_p99_ns: u64,
     /// Observed 99th-percentile request latency, ns (`None` when no
     /// traffic scenario ran).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub request_p99_ns: Option<u64>,
     /// Observed 99.9th-percentile request latency, ns.
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub request_p999_ns: Option<u64>,
     /// Whether every ceiling held.
     pub compliant: bool,

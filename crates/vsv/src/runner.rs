@@ -166,7 +166,6 @@ impl Experiment {
     /// Any [`SimError`] raised during construction, warm-up, or the
     /// measured window. (The trace itself cannot fail: it serializes
     /// plain values into memory.)
-    #[cfg(feature = "serde")]
     pub fn try_run_traced(
         &self,
         params: &WorkloadParams,
@@ -181,7 +180,6 @@ impl Experiment {
     /// and returning an exact-size copy of it. `scratch` comes back
     /// empty with its capacity kept, so a sweep worker that hands the
     /// same buffer to every job grows it once, to its largest trace.
-    #[cfg(feature = "serde")]
     pub(crate) fn try_run_traced_reusing(
         &self,
         params: &WorkloadParams,

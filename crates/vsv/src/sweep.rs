@@ -62,8 +62,7 @@ pub struct SweepJob {
 // the vendored stand-ins) onto the overwhelmingly common path to
 // slim the rare one — not worth it for a per-job record.
 #[allow(clippy::large_enum_variant)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum JobOutcome {
     /// The simulation completed; the deterministic measured window.
     Ok(RunResult),
@@ -107,8 +106,7 @@ impl JobOutcome {
 /// Everything recorded about one finished job: the row type of
 /// [`SweepReport`] and the line type of a shard file (see
 /// [`crate::campaign`]).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct JobRecord {
     /// Index of the job in the sweep's grid order.
     pub job: usize,
@@ -130,7 +128,7 @@ pub struct JobRecord {
     /// machine; N > 1 ran N voltage domains over a shared L2).
     /// Defaults to 1 when absent so pre-multicore (v6) checkpoints
     /// still parse.
-    #[cfg_attr(feature = "serde", serde(default = "default_cores"))]
+    #[serde(default = "default_cores")]
     pub cores: usize,
     /// How the cell ended (deterministic: simulated time, energy,
     /// counters, or the typed failure).
@@ -141,7 +139,7 @@ pub struct JobRecord {
     /// The cell's SLO judgment ([`RunResult::slo`]) surfaced for
     /// report consumers: `None` when the cell failed or the run
     /// carried no [`SloSpec`](crate::report::SloSpec).
-    #[cfg_attr(feature = "serde", serde(default))]
+    #[serde(default)]
     pub slo: Option<SloOutcome>,
     /// Host wall-clock nanoseconds this job took. **Not**
     /// deterministic; consumers that digest reports must zero it
@@ -151,7 +149,6 @@ pub struct JobRecord {
 
 /// Serde default for [`JobRecord::cores`]: pre-multicore checkpoints
 /// (v6 and earlier) were all single-core.
-#[cfg(feature = "serde")]
 fn default_cores() -> usize {
     1
 }
@@ -165,8 +162,7 @@ impl JobRecord {
 }
 
 /// The serializable outcome of a whole sweep, in grid order.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SweepReport {
     /// Number of jobs in the grid.
     pub jobs: usize,
@@ -496,7 +492,6 @@ impl Sweep {
     /// concatenating them in grid order yields the same bytes
     /// whether the sweep ran on 1 thread or 40. Failed cells get an
     /// empty buffer.
-    #[cfg(feature = "serde")]
     #[must_use]
     pub fn report_traced(&self, workers: usize, level: TraceLevel) -> (SweepReport, Vec<Vec<u8>>) {
         self.run_grid(workers, vec![None; self.len()], &|_| {}, Some(level))
@@ -613,8 +608,6 @@ fn execute_job(
     trace: Option<TraceLevel>,
     scratch: &mut Vec<u8>,
 ) -> (JobOutcome, MetricsRegistry, Vec<u8>) {
-    #[cfg(not(feature = "serde"))]
-    let _ = (index, trace, scratch);
     const MAX_ATTEMPTS: u32 = 2;
     let mut attempts = 0;
     loop {
@@ -622,7 +615,6 @@ fn execute_job(
         // A retried attempt rebuilds its trace buffer from scratch, so
         // a panic on the first attempt cannot leave half a trace.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            #[cfg(feature = "serde")]
             if let Some(level) = trace {
                 let header = crate::trace::TraceEvent::JobStart {
                     job: index as u64,

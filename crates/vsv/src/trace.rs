@@ -56,8 +56,7 @@ impl TraceLevel {
 }
 
 /// Which issue-rate monitor an FSM event refers to.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum FsmId {
     /// The high→low monitor ([`crate::DownFsm`]).
     Down,
@@ -69,8 +68,7 @@ pub enum FsmId {
 /// voltages are millivolts (integers, so JSONL bytes are
 /// float-formatting-proof). See `docs/observability.md` for the
 /// emission site of every variant.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum TraceEvent {
     /// Start-of-job marker a sweep writes before a job's events, so a
     /// concatenated multi-job JSONL file is self-describing.
@@ -362,7 +360,6 @@ pub struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
 impl SharedBuf {
     /// A buffer that appends to `bytes` (reusing its capacity).
-    #[cfg(feature = "serde")]
     pub(crate) fn with_buffer(bytes: Vec<u8>) -> Self {
         SharedBuf(std::sync::Arc::new(std::sync::Mutex::new(bytes)))
     }
@@ -420,14 +417,12 @@ impl std::io::Write for SharedBuf {
 /// Write failures are latched into [`JsonlSink::error`] instead of
 /// panicking (the simulator must not die because a trace disk filled
 /// up); subsequent events are dropped.
-#[cfg(feature = "serde")]
 pub struct JsonlSink<W: std::io::Write + Send> {
     writer: W,
     line: Vec<u8>,
     error: Option<String>,
 }
 
-#[cfg(feature = "serde")]
 impl<W: std::io::Write + Send> JsonlSink<W> {
     /// Builds the sink over a writer.
     #[must_use]
@@ -446,7 +441,6 @@ impl<W: std::io::Write + Send> JsonlSink<W> {
     }
 }
 
-#[cfg(feature = "serde")]
 impl<W: std::io::Write + Send> std::fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")
@@ -455,7 +449,6 @@ impl<W: std::io::Write + Send> std::fmt::Debug for JsonlSink<W> {
     }
 }
 
-#[cfg(feature = "serde")]
 impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, event: &TraceEvent) {
         if self.error.is_some() {
@@ -480,7 +473,6 @@ impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
 /// Appends `event` as one JSONL line: the externally tagged object the
 /// serde derive produces (`{"Kind":{"field":value,...}}`, fields in
 /// declaration order, unit enums as their variant name), then `\n`.
-#[cfg(feature = "serde")]
 fn encode_line(event: &TraceEvent, out: &mut Vec<u8>) {
     out.extend_from_slice(b"{\"");
     out.extend_from_slice(event.kind().as_bytes());
@@ -591,13 +583,11 @@ fn encode_line(event: &TraceEvent, out: &mut Vec<u8>) {
 }
 
 /// The fields of one JSON object being appended to a line.
-#[cfg(feature = "serde")]
 struct JsonObject<'a> {
     out: &'a mut Vec<u8>,
     first: bool,
 }
 
-#[cfg(feature = "serde")]
 impl JsonObject<'_> {
     fn key(&mut self, key: &str) {
         if !self.first {
@@ -626,7 +616,6 @@ impl JsonObject<'_> {
 }
 
 /// Appends `n` in decimal.
-#[cfg(feature = "serde")]
 fn push_u64(out: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut i = digits.len();
@@ -649,7 +638,6 @@ fn push_u64(out: &mut Vec<u8>, mut n: u64) {
 /// escapes: `\"`, `\\`, `\n`, `\r`, `\t`, `\u00xx` for the other
 /// control characters, everything else verbatim. Working on bytes is
 /// exact because every byte of a multi-byte UTF-8 sequence is >= 0x80.
-#[cfg(feature = "serde")]
 fn push_str(out: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push(b'"');
@@ -682,7 +670,6 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// [`Mode`]'s serde variant name.
-#[cfg(feature = "serde")]
 fn mode_name(mode: Mode) -> &'static str {
     match mode {
         Mode::High => "High",
@@ -695,7 +682,6 @@ fn mode_name(mode: Mode) -> &'static str {
 }
 
 /// [`FsmId`]'s serde variant name.
-#[cfg(feature = "serde")]
 fn fsm_name(fsm: FsmId) -> &'static str {
     match fsm {
         FsmId::Down => "Down",
@@ -964,7 +950,6 @@ mod event_tests {
         assert!(buf.is_empty());
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn jsonl_sink_writes_one_line_per_event_and_round_trips() {
         let buf = SharedBuf::default();

@@ -5,7 +5,6 @@
 pub const MAX_CODE_FOOTPRINT_BYTES: u64 = 4 << 20;
 
 /// How a twin's far (working-set) loads choose their addresses.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Sequential 32-byte-block walk over the working set: maximal
@@ -38,16 +37,10 @@ pub enum AccessPattern {
 /// touches are and whether their results feed the critical chains
 /// (→ ILP around misses), prefetch coverage (→ demand-miss removal),
 /// and branch predictability (→ front-end bubbles).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadParams {
     /// Twin name (matches the SPEC2K benchmark it mimics). Static so
-    /// parameter tables stay allocation-free; deserialized parameter
-    /// points come back named `"custom"`.
-    #[cfg_attr(
-        feature = "serde",
-        serde(skip_deserializing, default = "default_twin_name")
-    )]
+    /// parameter tables stay allocation-free.
     pub name: &'static str,
     /// PRNG seed; fixed per twin for reproducibility.
     pub seed: u64,
@@ -97,11 +90,6 @@ pub struct WorkloadParams {
     pub sw_prefetch_coverage: f64,
     /// Instructions of lead the software prefetch gets.
     pub sw_prefetch_distance: usize,
-}
-
-#[cfg(feature = "serde")]
-fn default_twin_name() -> &'static str {
-    "custom"
 }
 
 impl WorkloadParams {

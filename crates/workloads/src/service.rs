@@ -33,7 +33,6 @@
 use crate::rng::XorShift64;
 
 /// Arrival-process model for an open-loop request stream.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficModel {
     /// Memoryless arrivals at a constant mean rate.
@@ -78,7 +77,6 @@ impl TrafficModel {
 /// the *absence* of a spec (the `Option` in `SystemConfig`) is how
 /// "no traffic" is expressed, and keeps every non-traffic run
 /// bit-identical to the subsystem being absent.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficSpec {
     /// The arrival process.

@@ -19,7 +19,6 @@
 use crate::params::{AccessPattern, WorkloadParams};
 
 /// Table 2 reference numbers for one benchmark (from the paper).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table2Row {
     /// Benchmark name.
