@@ -38,7 +38,9 @@
 //!   this default is chosen to respect.
 //!
 //! The `VSV_CAMPAIGN_ROLE` / `VSV_CAMPAIGN_*` variables are the
-//! parent↔child protocol, not user knobs.
+//! parent↔child protocol, not user knobs. A set count that does not
+//! parse, or is zero, exits with code 2 naming the variable before
+//! anything is simulated.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -47,8 +49,11 @@ use vsv::{
     resolve_workers, Campaign, DownPolicy, Experiment, MergeOptions, Sweep, SweepJob, SystemConfig,
     UpPolicy,
 };
-use vsv_bench::{experiment_from_env, rule};
+use vsv_bench::{env_value, experiment_from_env, or_exit, rule};
 use vsv_workloads::{high_mr_names, twin};
+
+/// The name error messages start with.
+const BIN: &str = "campaign_scale";
 
 /// The fleet grid: every high-MR twin under baseline plus a down-FSM
 /// threshold axis (the Figure 5 shape) — memory-bound, so shard
@@ -133,11 +138,10 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The count or index `name` holds (`default` when unset; zero only
+/// where `positive` is false), exiting with code 2 on anything else.
+fn env_usize(name: &str, default: usize, positive: bool) -> usize {
+    or_exit(BIN, env_value(name, positive)).unwrap_or(default)
 }
 
 /// Rewrites every `"wall_ns": <digits>` value to `0` — the textual
@@ -165,8 +169,8 @@ fn zero_wall(json: &str) -> String {
 /// Child role: run one shard of the fleet grid as a checkpointed sweep
 /// on `VSV_WORKERS` workers (the `campaign run` path).
 fn role_shard(e: Experiment) {
-    let shard = env_usize("VSV_CAMPAIGN_SHARD", 0);
-    let shards = env_usize("VSV_CAMPAIGN_SHARDS", 1);
+    let shard = env_usize("VSV_CAMPAIGN_SHARD", 0, false);
+    let shards = env_usize("VSV_CAMPAIGN_SHARDS", 1, true);
     let out = PathBuf::from(std::env::var("VSV_CAMPAIGN_OUT").expect("shard role needs OUT"));
     let campaign = Campaign::new(fleet_sweep(e), shards).expect("valid shard count");
     let report = campaign
@@ -180,7 +184,7 @@ fn role_shard(e: Experiment) {
 /// headers validate; `VSV_CAMPAIGN_MODE` picks the streaming writer
 /// or the deliberately buffered `merge_report` contrast.
 fn role_merge(e: Experiment) {
-    let shards = env_usize("VSV_CAMPAIGN_SHARDS", 1);
+    let shards = env_usize("VSV_CAMPAIGN_SHARDS", 1, true);
     let inputs: Vec<PathBuf> = std::env::var("VSV_CAMPAIGN_INPUTS")
         .expect("merge role needs INPUTS")
         .split(',')
@@ -189,7 +193,7 @@ fn role_merge(e: Experiment) {
     let grid = std::env::var("VSV_CAMPAIGN_GRID").unwrap_or_else(|_| "fleet".to_string());
     let sweep = match grid.as_str() {
         "fleet" => fleet_sweep(e),
-        "stress" => stress_sweep(e, env_usize("VSV_CAMPAIGN_STRESS", 10)),
+        "stress" => stress_sweep(e, env_usize("VSV_CAMPAIGN_STRESS", 10, true)),
         other => panic!("unknown VSV_CAMPAIGN_GRID {other:?}"),
     };
     let campaign = Campaign::new(sweep, shards).expect("valid shard count");
@@ -422,10 +426,7 @@ fn stress_merge(e: Experiment, cells: usize, mode: &str, dir: &Path) -> MergeRss
 }
 
 fn main() {
-    let e = experiment_from_env().unwrap_or_else(|msg| {
-        eprintln!("campaign_scale: {msg}");
-        std::process::exit(2)
-    });
+    let e = or_exit(BIN, experiment_from_env());
     match std::env::var("VSV_CAMPAIGN_ROLE").as_deref() {
         Ok("shard") => return role_shard(e),
         Ok("merge") => return role_merge(e),
@@ -434,7 +435,7 @@ fn main() {
     }
 
     let grid_cells = fleet_sweep(e).len();
-    let stress_cells = env_usize("VSV_CAMPAIGN_STRESS_CELLS", 1_500);
+    let stress_cells = env_usize("VSV_CAMPAIGN_STRESS_CELLS", 1_500, true);
     let dir = std::env::temp_dir().join(format!("vsv-campaign-scale-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create work dir");

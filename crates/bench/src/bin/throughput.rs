@@ -17,6 +17,11 @@
 //! * `VSV_THROUGHPUT_REPS` — timing repetitions per point (default 3);
 //!   each point reports its fastest repetition, the standard guard
 //!   against scheduler and frequency noise.
+//! * `VSV_PRE_PR_BASELINE` — overrides the pre-optimisation
+//!   memory-bound reference the report compares against.
+//!
+//! A set number that does not parse, or is not positive, exits with
+//! code 2 naming the variable before anything is simulated.
 //!
 //! Runs are strictly serial: this binary measures single-thread
 //! simulation speed, not sweep-engine scaling.
@@ -24,7 +29,7 @@
 use std::time::Instant;
 
 use vsv::{Experiment, NullSink, SystemConfig, TraceLevel};
-use vsv_bench::{experiment_from_env, rule};
+use vsv_bench::{env_value, experiment_from_env, or_exit, rule};
 use vsv_workloads::spec2k_twins;
 
 /// Memory-bound (MPKI > 4) aggregate sim-ns/sec of the tree this PR
@@ -167,14 +172,12 @@ fn timed_run(
 }
 
 fn main() {
-    let e = experiment_from_env().unwrap_or_else(|msg| {
-        eprintln!("throughput: {msg}");
-        std::process::exit(2)
-    });
-    let reps: u32 = std::env::var("VSV_THROUGHPUT_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    const BIN: &str = "throughput";
+    let e = or_exit(BIN, experiment_from_env());
+    let reps: u32 = or_exit(BIN, env_value("VSV_THROUGHPUT_REPS", true)).unwrap_or(3);
+    let pre_pr: f64 = or_exit(BIN, env_value("VSV_PRE_PR_BASELINE", true))
+        .unwrap_or(PRE_PR_MEMORY_BOUND_SIM_NS_PER_SEC);
+    let baseline: Option<f64> = or_exit(BIN, env_value("VSV_THROUGHPUT_BASELINE", true));
     let configs = [
         ("baseline", SystemConfig::baseline()),
         ("vsv", SystemConfig::vsv_with_fsms()),
@@ -233,10 +236,6 @@ fn main() {
     } else {
         overall_speedup
     };
-    let pre_pr = std::env::var("VSV_PRE_PR_BASELINE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(PRE_PR_MEMORY_BOUND_SIM_NS_PER_SEC);
     let vs_pre_pr = mb_on.sim_ns_per_sec / pre_pr;
     rule(70);
     println!(
@@ -270,8 +269,7 @@ fn main() {
 
     // CI perf-smoke gate: measured fast-forward-on throughput must not
     // fall more than 30% below the committed reference.
-    if let Ok(v) = std::env::var("VSV_THROUGHPUT_BASELINE") {
-        let baseline: f64 = v.parse().expect("VSV_THROUGHPUT_BASELINE is a number");
+    if let Some(baseline) = baseline {
         let floor = baseline * 0.7;
         println!(
             "gate: measured {:.3e} sim-ns/s vs committed {baseline:.3e} (floor {floor:.3e})",

@@ -10,11 +10,16 @@
 //! * `VSV_WORKERS` — worker threads for the experiment grid (default:
 //!   the host's available parallelism; see [`vsv::default_workers`]).
 //!
-//! A set `VSV_INSTS` or `VSV_WARMUP` must be a positive integer: both
-//! binaries reject anything else with exit code 2.
+//! Every number either bin reads from its environment goes through
+//! [`env_value`]: a set value that does not parse, or is zero where
+//! zero means nothing (every count, scale and rate but a shard index),
+//! makes the bin exit with code 2 naming the variable, before anything
+//! is simulated.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::str::FromStr;
 
 use vsv::Experiment;
 
@@ -25,31 +30,53 @@ use vsv::Experiment;
 /// A message naming the variable when `VSV_INSTS` or `VSV_WARMUP` is
 /// set but not a positive integer.
 pub fn experiment_from_env() -> Result<Experiment, String> {
-    let get =
-        |name: &str, default: u64| parse_scale(name, std::env::var(name).ok().as_deref(), default);
     Ok(Experiment {
-        warmup_instructions: get("VSV_WARMUP", 100_000)?,
-        instructions: get("VSV_INSTS", 300_000)?,
+        warmup_instructions: env_value("VSV_WARMUP", true)?.unwrap_or(100_000),
+        instructions: env_value("VSV_INSTS", true)?.unwrap_or(300_000),
     })
 }
 
-/// One scale variable's value: `default` when unset, else a positive
-/// integer. An empty, unparsable or zero value is an error naming
-/// `name`, never a silent fall back to the default.
+/// The environment variable `name` parsed as a `T`: `None` when unset.
+/// With `positive`, the value must also be above zero.
 ///
 /// # Errors
 ///
-/// A message naming `name` and the rejected value.
-fn parse_scale(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
+/// A message naming `name` and the rejected value when it is set but
+/// empty, unparsable or (with `positive`) not above zero — never a
+/// silent fall back to the caller's default.
+pub fn env_value<T: FromStr + PartialOrd + Default>(
+    name: &str,
+    positive: bool,
+) -> Result<Option<T>, String> {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_value(name, value.as_deref(), positive)
+}
+
+/// [`env_value`] on an explicit `value` (`None` = unset).
+fn parse_value<T: FromStr + PartialOrd + Default>(
+    name: &str,
+    value: Option<&str>,
+    positive: bool,
+) -> Result<Option<T>, String> {
     let Some(value) = value else {
-        return Ok(default);
+        return Ok(None);
     };
-    match value.parse() {
-        Ok(0) | Err(_) => Err(format!(
-            "{name}={value:?} is not a positive instruction count"
+    match value.parse::<T>() {
+        Ok(v) if !positive || v > T::default() => Ok(Some(v)),
+        _ => Err(format!(
+            "{name}={value:?} is not a {}number",
+            if positive { "positive " } else { "" }
         )),
-        Ok(n) => Ok(n),
     }
+}
+
+/// `read`'s value, or — on an error — the message on stderr as
+/// `bin: message` and exit code 2.
+pub fn or_exit<T>(bin: &str, read: Result<T, String>) -> T {
+    read.unwrap_or_else(|msg| {
+        eprintln!("{bin}: {msg}");
+        std::process::exit(2)
+    })
 }
 
 /// Prints a rule line of the given width.
@@ -63,20 +90,59 @@ mod tests {
 
     #[test]
     fn env_defaults() {
-        assert_eq!(parse_scale("VSV_INSTS", None, 300_000), Ok(300_000));
+        assert_eq!(parse_value::<u64>("VSV_INSTS", None, true), Ok(None));
     }
 
     #[test]
     fn a_positive_scale_is_taken_as_is() {
-        assert_eq!(parse_scale("VSV_INSTS", Some("3000"), 300_000), Ok(3000));
-        assert_eq!(parse_scale("VSV_WARMUP", Some("1"), 100_000), Ok(1));
+        assert_eq!(
+            parse_value("VSV_INSTS", Some("3000"), true),
+            Ok(Some(3000u64))
+        );
+        assert_eq!(parse_value("VSV_WARMUP", Some("1"), true), Ok(Some(1u64)));
+        assert_eq!(
+            parse_value("VSV_THROUGHPUT_REPS", Some("2"), true),
+            Ok(Some(2u32))
+        );
+        assert_eq!(
+            parse_value("VSV_PRE_PR_BASELINE", Some("2.5e6"), true),
+            Ok(Some(2.5e6f64))
+        );
+        assert_eq!(
+            parse_value("VSV_CAMPAIGN_SHARD", Some("0"), false),
+            Ok(Some(0usize)),
+            "a shard index may be zero"
+        );
     }
 
     #[test]
     fn a_bad_scale_is_an_error_naming_the_variable() {
-        for bad in ["", "3k", "0", "-5", " 3000", "1e5"] {
-            let err = parse_scale("VSV_WARMUP", Some(bad), 100_000).expect_err(bad);
-            assert!(err.starts_with("VSV_WARMUP="), "{bad:?}: {err}");
+        let bad_counts = ["", "3k", "2x", "0", "-5", " 3000", "1e5"];
+        for name in ["VSV_WARMUP", "VSV_INSTS", "VSV_THROUGHPUT_REPS"] {
+            for bad in bad_counts {
+                let err = parse_value::<u32>(name, Some(bad), true).expect_err(bad);
+                assert!(err.starts_with(&format!("{name}=")), "{bad:?}: {err}");
+            }
+        }
+        for name in [
+            "VSV_CAMPAIGN_STRESS_CELLS",
+            "VSV_CAMPAIGN_SHARDS",
+            "VSV_CAMPAIGN_STRESS",
+        ] {
+            for bad in bad_counts {
+                let err = parse_value::<usize>(name, Some(bad), true).expect_err(bad);
+                assert!(err.starts_with(&format!("{name}=")), "{bad:?}: {err}");
+            }
+        }
+        for bad in ["", "x", "-1", "1.5"] {
+            let err = parse_value::<usize>("VSV_CAMPAIGN_SHARD", Some(bad), false).expect_err(bad);
+            assert!(err.starts_with("VSV_CAMPAIGN_SHARD="), "{bad:?}: {err}");
+        }
+        for name in ["VSV_THROUGHPUT_BASELINE", "VSV_PRE_PR_BASELINE"] {
+            for bad in ["", "fast", "0", "0.0", "-1e6", "NaN"] {
+                let err = parse_value::<f64>(name, Some(bad), true).expect_err(bad);
+                assert!(err.starts_with(&format!("{name}=")), "{bad:?}: {err}");
+            }
         }
     }
 }

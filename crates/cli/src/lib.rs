@@ -706,8 +706,8 @@ default; depth 1 = always-VDDH). compare --ladders D1,D2,.. runs the
 baseline plus one ladder-fsm row per depth — the EDP-vs-depth
 frontier on one twin.
 
-Multicore: --cores N replicates the core plus its private hierarchy
-N times over one shared, arbitrated L2/bus/DRAM fabric, with an
+Multicore: --cores N replicates the core plus its private L1s N
+times over one shared, arbitrated L2/bus/DRAM fabric, with an
 independent VSV controller (voltage domain) per core. Each core runs
 a phase-decorrelated copy of the twin (reseeded per core; `workloads
 --cores N` shows the streams), stepped in nanosecond lockstep so

@@ -233,23 +233,6 @@ impl Cache {
         }
     }
 
-    /// A cache of `cfg`'s geometry with no tag array: it reports empty
-    /// statistics and must never be accessed. A chip core's private L2
-    /// takes this form, since the shared fabric's L2 serves every core.
-    #[must_use]
-    pub(crate) fn unallocated(cfg: CacheConfig) -> Self {
-        Cache {
-            cfg,
-            policy: ReplacementPolicy::Lru,
-            keys: Vec::new(),
-            ranks: Vec::new(),
-            set_mask: 0,
-            set_bits: 0,
-            block_shift: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
     /// The index range of `set`'s ways in `keys` and `ranks`.
     fn ways(&self, set: usize) -> std::ops::Range<usize> {
         let a = self.cfg.assoc;

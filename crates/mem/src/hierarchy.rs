@@ -26,13 +26,13 @@ use std::collections::VecDeque;
 use vsv_isa::Addr;
 use vsv_power::counter_rng;
 
-use crate::bus::{Bus, BusConfig};
+use crate::bus::BusConfig;
 use crate::cache::{Cache, CacheConfig};
-use crate::dram::{Dram, DramConfig};
+use crate::dram::DramConfig;
 use crate::event::EventQueue;
 use crate::fx::FxHashMap;
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::shared::SharedHandle;
+use crate::shared::{SharedFabric, SharedHandle};
 
 /// Identifies one outstanding memory request issued by the core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -331,7 +331,9 @@ pub struct HierarchyStats {
     pub fill_retry_hist: [u64; MAX_READ_RETRIES as usize + 1],
 }
 
-/// The composed memory hierarchy.
+/// The composed memory hierarchy: one core's private slice (L1s,
+/// their MSHR files, the prefetch buffer, the L2 MSHR file) over a
+/// [`SharedFabric`] uncore (L2, bus, DRAM, L2-MSHR slot pool).
 ///
 /// See the `vsv-mem` crate-level docs for the clock-domain contract and the
 /// crate docs for a usage example.
@@ -340,13 +342,11 @@ pub struct Hierarchy {
     cfg: HierarchyConfig,
     l1i: Cache,
     l1d: Cache,
-    l2: Cache,
     prefetch_buffer: Option<Cache>,
     il1_mshr: MshrFile,
     dl1_mshr: MshrFile,
     l2_mshr: MshrFile,
-    bus: Bus,
-    dram: Dram,
+    uncore: SharedHandle,
     events: EventQueue<Event>,
     retry: VecDeque<(u64, Addr)>,
     // Fx-hashed: point lookups only, never iterated, so the hash
@@ -379,16 +379,12 @@ pub struct Hierarchy {
     // into escalation. Cleared on exhaustion.
     force_error: bool,
     read_error_events: Vec<ReadErrorEvent>,
-    // Multicore: when attached, the L2, bus, DRAM and L2-MSHR slot
-    // pool live in the shared fabric and the private copies above sit
-    // idle. `None` (single-core) keeps every code path bit-identical
-    // to a build without the fabric.
-    shared: Option<SharedHandle>,
     now: u64,
 }
 
 impl Hierarchy {
-    /// Builds an empty hierarchy.
+    /// Builds an empty single-core hierarchy: the only core on a
+    /// [`SharedFabric`] of its own.
     ///
     /// # Panics
     ///
@@ -396,38 +392,28 @@ impl Hierarchy {
     /// component constructors).
     #[must_use]
     pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::build(cfg, None)
+        let fabric = SharedFabric::new(cfg, 1).into_shared();
+        Self::on_fabric(cfg, SharedHandle::new(fabric, 0))
     }
 
-    /// Builds an empty hierarchy attached to a multicore
-    /// [`crate::SharedFabric`] (`handle` carries the core index). L2
-    /// probes, bus beats, DRAM accesses and L2-MSHR admission route
-    /// through the shared, arbitrated fabric; the private bus/DRAM
-    /// stay idle and the private L2 is never allocated.
+    /// Builds an empty hierarchy for one core of a chip, attached to
+    /// the chip's [`SharedFabric`] (`handle` carries the core index):
+    /// L2 probes, bus beats, DRAM accesses and L2-MSHR admission route
+    /// through the shared, arbitrated fabric.
     ///
     /// # Panics
     ///
     /// As for [`Hierarchy::new`].
     #[must_use]
     pub fn on_fabric(cfg: HierarchyConfig, handle: SharedHandle) -> Self {
-        Self::build(cfg, Some(handle))
-    }
-
-    fn build(cfg: HierarchyConfig, shared: Option<SharedHandle>) -> Self {
         Hierarchy {
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
-            l2: if shared.is_some() {
-                Cache::unallocated(cfg.l2)
-            } else {
-                Cache::new(cfg.l2)
-            },
             prefetch_buffer: cfg.prefetch_buffer.map(Cache::fifo),
             il1_mshr: MshrFile::new(cfg.il1_mshrs, cfg.mshr_targets),
             dl1_mshr: MshrFile::new(cfg.dl1_mshrs, cfg.mshr_targets),
             l2_mshr: MshrFile::new(cfg.l2_mshrs, cfg.mshr_targets),
-            bus: Bus::new(cfg.bus),
-            dram: Dram::new(cfg.dram),
+            uncore: handle,
             events: EventQueue::new(),
             retry: VecDeque::new(),
             waiters: FxHashMap::default(),
@@ -446,7 +432,6 @@ impl Hierarchy {
             error_threshold: 0,
             force_error: false,
             read_error_events: Vec::new(),
-            shared,
             cfg,
             now: 0,
         }
@@ -573,8 +558,15 @@ impl Hierarchy {
         if self.retry.is_empty() && self.events.next_time().is_none_or(|at| at > now) {
             return;
         }
-        // Retry L2-MSHR allocations that were rejected while full.
-        while let Some(&(waiter, l2_block)) = self.retry.front() {
+        // Retry L2-MSHR allocations that were rejected while full, at
+        // most once each per tick: one refused again (the fabric's slot
+        // pool is drained by other cores, or its block's entry has no
+        // target slot left) goes back to the end of the queue for the
+        // next tick.
+        for _ in 0..self.retry.len() {
+            let Some(&(waiter, l2_block)) = self.retry.front() else {
+                break;
+            };
             if self.l2_mshr.is_full() && !self.l2_mshr.contains(l2_block) {
                 break;
             }
@@ -596,11 +588,6 @@ impl Hierarchy {
         }
     }
 
-    /// Takes all refill completions produced since the last call.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Moves all refill completions produced since the last call into
     /// `out` (cleared first). Both the internal buffer's and `out`'s
     /// capacities are retained, so a caller reusing the same scratch
@@ -612,16 +599,9 @@ impl Hierarchy {
         }
     }
 
-    /// Takes all VSV mode-controller signals produced since the last
-    /// call, in chronological order.
-    pub fn drain_vsv_signals(&mut self) -> Vec<VsvSignal> {
-        std::mem::take(&mut self.vsv_signals)
-    }
-
     /// Visits (and consumes) all VSV mode-controller signals produced
-    /// since the last call, in chronological order. Unlike
-    /// [`Self::drain_vsv_signals`] this retains the buffer's capacity,
-    /// so the steady-state hot loop never allocates.
+    /// since the last call, in chronological order. The buffer keeps
+    /// its capacity, so the steady-state hot loop never allocates.
     pub fn visit_vsv_signals(&mut self, mut f: impl FnMut(&VsvSignal)) {
         if self.vsv_signals.is_empty() {
             return;
@@ -631,14 +611,9 @@ impl Hierarchy {
         }
     }
 
-    /// Takes the addresses of L1-D blocks evicted since the last call
-    /// (consumed by the Time-Keeping predictor).
-    pub fn drain_l1d_evictions(&mut self) -> Vec<Addr> {
-        std::mem::take(&mut self.l1d_evictions)
-    }
-
     /// Moves the addresses of L1-D blocks evicted since the last call
-    /// into `out` (cleared first), retaining both buffers' capacities.
+    /// (consumed by the Time-Keeping predictor) into `out` (cleared
+    /// first), retaining both buffers' capacities.
     pub fn take_l1d_evictions_into(&mut self, out: &mut Vec<Addr>) {
         out.clear();
         if !self.l1d_evictions.is_empty() {
@@ -698,21 +673,10 @@ impl Hierarchy {
         self.stats
     }
 
-    /// Per-cache statistics `(l1i, l1d, l2)`.
+    /// Per-cache statistics `(l1i, l1d)`.
     #[must_use]
-    pub fn cache_stats(&self) -> (crate::CacheStats, crate::CacheStats, crate::CacheStats) {
-        (self.l1i.stats(), self.l1d.stats(), self.l2.stats())
-    }
-
-    /// Resets all statistics (after warm-up), keeping cache contents.
-    pub fn reset_stats(&mut self) {
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
-        if let Some(pb) = self.prefetch_buffer.as_mut() {
-            pb.reset_stats();
-        }
-        self.stats = HierarchyStats::default();
+    pub fn cache_stats(&self) -> (crate::CacheStats, crate::CacheStats) {
+        (self.l1i.stats(), self.l1d.stats())
     }
 
     /// Direct read-only access to the L1 data cache (predictor hooks).
@@ -721,111 +685,25 @@ impl Hierarchy {
         &self.l1d
     }
 
-    /// Direct read-only access to the L2 cache.
-    #[must_use]
-    pub fn l2(&self) -> &Cache {
-        &self.l2
-    }
-
-    /// The private bus, for utilisation reporting. Idle when a shared
-    /// fabric is attached — use [`Hierarchy::bus_transactions`] for
-    /// counts that stay correct in both worlds.
-    #[must_use]
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
     /// Bus transactions this core caused (request beats, response
-    /// transfers and write-backs), whichever bus carried them.
+    /// transfers and write-backs).
     #[must_use]
     pub fn bus_transactions(&self) -> u64 {
-        if let Some(h) = &self.shared {
-            h.stats().bus_transactions
-        } else {
-            self.bus.transactions()
-        }
+        self.uncore.stats().bus_transactions
     }
 
     /// L2 lookups this core made (hits + misses), for uncore energy
-    /// accounting — attributed per core when the L2 is shared.
+    /// accounting.
     #[must_use]
     pub fn l2_accesses(&self) -> u64 {
-        if let Some(h) = &self.shared {
-            h.stats().l2_accesses
-        } else {
-            self.l2.stats().accesses()
-        }
+        self.uncore.stats().l2_accesses
     }
 
     /// Total DRAM accesses this core caused (refills + write-backs),
     /// for uncore energy accounting.
     #[must_use]
     pub fn dram_accesses(&self) -> u64 {
-        if let Some(h) = &self.shared {
-            h.stats().dram_accesses
-        } else {
-            self.dram.accesses()
-        }
-    }
-
-    // ---- shared-fabric dispatch ------------------------------------
-    //
-    // Single-core (`shared == None`) takes the private-component arm,
-    // byte-for-byte the pre-multicore code; attached cores route to
-    // the arbitrated fabric.
-
-    fn sched_bus(&mut self, now: u64, bytes: u64) -> (u64, u64) {
-        if let Some(h) = &self.shared {
-            h.schedule(now, bytes)
-        } else {
-            self.bus.schedule(now, bytes)
-        }
-    }
-
-    fn access_dram(&mut self, start: u64) -> u64 {
-        if let Some(h) = &self.shared {
-            h.dram_access(start)
-        } else {
-            self.dram.access(start)
-        }
-    }
-
-    fn l2_lookup(&mut self, block: Addr) -> bool {
-        if let Some(h) = &self.shared {
-            h.l2_access(block)
-        } else {
-            self.l2.access(block, false)
-        }
-    }
-
-    fn l2_install(&mut self, block: Addr) -> Option<Addr> {
-        if let Some(h) = &self.shared {
-            h.l2_fill(block)
-        } else {
-            self.l2.fill(block)
-        }
-    }
-
-    fn l2_set_dirty(&mut self, block: Addr) -> bool {
-        if let Some(h) = &self.shared {
-            h.l2_mark_dirty(block)
-        } else {
-            self.l2.mark_dirty(block)
-        }
-    }
-
-    fn l2_install_writeback(&mut self, block: Addr) -> Option<Addr> {
-        if let Some(h) = &self.shared {
-            h.l2_fill_with(block, true)
-        } else {
-            self.l2.fill_with(block, true)
-        }
-    }
-
-    fn release_pool_slot(&mut self) {
-        if let Some(h) = &self.shared {
-            h.release_mshr();
-        }
+        self.uncore.stats().dram_accesses
     }
 
     // ---- internals ------------------------------------------------
@@ -905,7 +783,7 @@ impl Hierarchy {
     fn l2_probe(&mut self, waiter: u64, l2_block: Addr) {
         let now = self.now;
         let demand = self.waiters.get(&waiter).is_some_and(|w| w.demand);
-        if self.l2_lookup(l2_block) {
+        if self.uncore.l2_access(l2_block) {
             self.stats.l2_hit_refills += 1;
             self.events.push(
                 now,
@@ -940,19 +818,14 @@ impl Hierarchy {
     /// lower bound carried by [`VsvSignal::L2MissDetected`].
     fn start_l2_miss(&mut self, now: u64, waiter: u64, l2_block: Addr) -> Option<u64> {
         let demand = self.waiters.get(&waiter).is_some_and(|w| w.demand);
-        // Shared-MSHR admission: the chip-wide slot pool caps how many
-        // L2 misses can be outstanding across all cores. A merge into
-        // an already-in-flight miss needs no new slot, so only a fresh
-        // block claims one.
-        let mut pool_slot = false;
-        if let Some(h) = &self.shared {
-            if !self.inflight_return.contains_key(&l2_block) {
-                if !h.try_acquire_mshr() {
-                    self.retry.push_back((waiter, l2_block));
-                    return None;
-                }
-                pool_slot = true;
-            }
+        // Shared-MSHR admission: the fabric's slot pool caps how many
+        // L2 misses can be outstanding across all its cores. A merge
+        // into an already-in-flight miss needs no new slot, so only a
+        // fresh block claims one (and a fresh block never merges).
+        let fresh = !self.inflight_return.contains_key(&l2_block);
+        if fresh && !self.uncore.try_acquire_mshr() {
+            self.retry.push_back((waiter, l2_block));
+            return None;
         }
         match self.l2_mshr.allocate(l2_block, waiter, demand) {
             MshrOutcome::Primary => {
@@ -960,21 +833,16 @@ impl Hierarchy {
                 // transfer arbitrates only when the data is ready
                 // (split transaction), so later requests are not
                 // blocked behind this miss's future response slot.
-                let (_, req_done) = self.sched_bus(now, 0);
-                let data_ready = self.access_dram(req_done);
+                let (_, req_done) = self.uncore.schedule(now, 0);
+                let data_ready = self.uncore.dram_access(req_done);
                 self.events.push(data_ready, Event::DramDone { l2_block });
                 self.inflight_return.insert(l2_block, data_ready);
                 Some(data_ready)
             }
-            MshrOutcome::Merged => {
-                if pool_slot {
-                    self.release_pool_slot();
-                }
-                self.inflight_return.get(&l2_block).copied()
-            }
+            MshrOutcome::Merged => self.inflight_return.get(&l2_block).copied(),
             MshrOutcome::Full => {
-                if pool_slot {
-                    self.release_pool_slot();
+                if fresh {
+                    self.uncore.release_mshr();
                 }
                 self.retry.push_back((waiter, l2_block));
                 None
@@ -985,7 +853,7 @@ impl Hierarchy {
     /// DRAM data ready: claim the bus for the response transfer.
     fn dram_done(&mut self, l2_block: Addr) {
         let now = self.now;
-        let (_, resp_done) = self.sched_bus(now, self.cfg.l2.block_bytes);
+        let (_, resp_done) = self.uncore.schedule(now, self.cfg.l2.block_bytes);
         self.events.push(resp_done, Event::L2Fill { l2_block });
     }
 
@@ -995,12 +863,11 @@ impl Hierarchy {
         self.inflight_return.remove(&l2_block);
         // The refill retires its shared-MSHR slot (held since the
         // primary allocation in `start_l2_miss`).
-        self.release_pool_slot();
-        if let Some(victim) = self.l2_install(l2_block) {
+        self.uncore.release_mshr();
+        if self.uncore.l2_fill(l2_block).is_some() {
             // Dirty L2 eviction: write back over the bus to memory.
-            let (_, wb_done) = self.sched_bus(now, self.cfg.l2.block_bytes);
-            let _ = self.access_dram(wb_done);
-            let _ = victim;
+            let (_, wb_done) = self.uncore.schedule(now, self.cfg.l2.block_bytes);
+            let _ = self.uncore.dram_access(wb_done);
         }
         let Some((waiter_ids, demand)) = self.l2_mshr.complete(l2_block) else {
             return;
@@ -1119,14 +986,14 @@ impl Hierarchy {
         if let Some(victim) = self.l1d.fill_evicting(l1_block, dirty) {
             if victim.dirty {
                 let v_l2 = victim.addr.block(self.cfg.l2.block_bytes);
-                if !self.l2_set_dirty(v_l2) {
+                if !self.uncore.l2_mark_dirty(v_l2) {
                     // Victim not in L2 (e.g. L2 evicted it first):
                     // write-allocate it back, possibly cascading a
                     // dirty L2 eviction to memory.
-                    if self.l2_install_writeback(v_l2).is_some() {
+                    if self.uncore.l2_fill_with(v_l2, true).is_some() {
                         let now = self.now;
-                        let (_, wb_done) = self.sched_bus(now, self.cfg.l2.block_bytes);
-                        let _ = self.access_dram(wb_done);
+                        let (_, wb_done) = self.uncore.schedule(now, self.cfg.l2.block_bytes);
+                        let _ = self.uncore.dram_access(wb_done);
                     }
                 }
             }
@@ -1139,14 +1006,31 @@ impl Hierarchy {
 mod tests {
     use super::*;
 
+    /// The refill completions buffered since the last call.
+    pub(super) fn completions(mem: &mut Hierarchy) -> Vec<Completion> {
+        let mut out = Vec::new();
+        mem.take_completions_into(&mut out);
+        out
+    }
+
+    /// The VSV signals buffered since the last call, in order.
+    pub(super) fn signals(mem: &mut Hierarchy) -> Vec<VsvSignal> {
+        let mut out = Vec::new();
+        mem.visit_vsv_signals(|s| out.push(*s));
+        out
+    }
+
+    /// The L1-D evictions buffered since the last call.
+    pub(super) fn l1d_evictions(mem: &mut Hierarchy) -> Vec<Addr> {
+        let mut out = Vec::new();
+        mem.take_l1d_evictions_into(&mut out);
+        out
+    }
+
     fn run_until_complete(mem: &mut Hierarchy, token: MemToken, deadline: u64) -> Completion {
         for now in 0..deadline {
             mem.tick(now);
-            if let Some(c) = mem
-                .drain_completions()
-                .into_iter()
-                .find(|c| c.token == token)
-            {
+            if let Some(c) = completions(mem).into_iter().find(|c| c.token == token) {
                 return c;
             }
         }
@@ -1206,7 +1090,7 @@ mod tests {
             panic!();
         };
         let c = run_until_complete(&mut mem, tok, 500);
-        let signals = mem.drain_vsv_signals();
+        let signals = signals(&mut mem);
         assert!(signals
             .iter()
             .any(|s| matches!(s, VsvSignal::L2MissDetected { demand: true, at, .. } if *at == 12)));
@@ -1243,8 +1127,7 @@ mod tests {
             panic!("sibling L1 block should miss separately");
         };
         let _ = run_until_complete(&mut mem, tok, 500);
-        let bounds: Vec<Option<u64>> = mem
-            .drain_vsv_signals()
+        let bounds: Vec<Option<u64>> = signals(&mut mem)
             .iter()
             .filter_map(|s| match s {
                 VsvSignal::L2MissDetected {
@@ -1267,7 +1150,7 @@ mod tests {
         for now in 0..200 {
             mem.tick(now);
         }
-        let signals = mem.drain_vsv_signals();
+        let signals = signals(&mut mem);
         assert!(signals
             .iter()
             .any(|s| matches!(s, VsvSignal::L2MissDetected { demand: false, .. })));
@@ -1286,7 +1169,7 @@ mod tests {
             panic!("expected merged miss");
         };
         let c = run_until_complete(&mut mem, tok, 500);
-        let signals = mem.drain_vsv_signals();
+        let signals = signals(&mut mem);
         // Detection sees a demand miss because of the merge.
         assert!(signals
             .iter()
@@ -1307,7 +1190,7 @@ mod tests {
         let mut done = Vec::new();
         for now in 0..500 {
             mem.tick(now);
-            done.extend(mem.drain_completions());
+            done.extend(completions(&mut mem));
             if done.len() == 2 {
                 break;
             }
@@ -1374,7 +1257,7 @@ mod tests {
         for now in 0..300 {
             mem.tick(now);
         }
-        for s in mem.drain_vsv_signals() {
+        for s in signals(&mut mem) {
             match s {
                 VsvSignal::L2MissDetected { demand, .. } => assert!(!demand),
                 VsvSignal::L2MissReturned { demand, .. } => assert!(!demand),
@@ -1449,20 +1332,21 @@ mod tests {
             panic!();
         };
         let _ = run_until_complete(&mut mem, t1, 1000);
-        let evictions = mem.drain_l1d_evictions();
+        let evictions = l1d_evictions(&mut mem);
         assert!(evictions.contains(&Addr(0x000)));
     }
 }
 
 #[cfg(test)]
 mod pressure_tests {
+    use super::tests::{completions, l1d_evictions, signals};
     use super::*;
 
     fn drain(mem: &mut Hierarchy, from: u64, to: u64) -> Vec<Completion> {
         let mut done = Vec::new();
         for now in from..to {
             mem.tick(now);
-            done.extend(mem.drain_completions());
+            done.extend(completions(mem));
         }
         done
     }
@@ -1523,7 +1407,7 @@ mod pressure_tests {
             panic!()
         };
         drain(&mut mem, 402, 800);
-        assert!(!mem.l2().probe(a), "A must be gone from the L2");
+        assert!(!mem.uncore.l2_probe(a), "A must be gone from the L2");
         assert!(mem.l1d().probe(a), "A still dirty in the L1");
 
         // Evict A from the L1 (same L1 set 0 via +256): the dirty
@@ -1533,9 +1417,9 @@ mod pressure_tests {
             panic!()
         };
         drain(&mut mem, 802, 1_400);
-        assert!(mem.drain_l1d_evictions().contains(&a));
+        assert!(l1d_evictions(&mut mem).contains(&a));
         assert!(
-            mem.l2().probe(a),
+            mem.uncore.l2_probe(a),
             "the dirty victim must be re-allocated into the L2"
         );
     }
@@ -1592,7 +1476,7 @@ mod pressure_tests {
         for now in 1..400 {
             mem.tick(now);
         }
-        let signals = mem.drain_vsv_signals();
+        let signals = signals(&mut mem);
         assert_eq!(signals.len(), 2);
         match (&signals[0], &signals[1]) {
             (
@@ -1627,7 +1511,7 @@ mod pressure_tests {
             READ_ERROR_DETECT_NS + READ_ERROR_RETRY_NS
         );
         // The read never completes; the simulator escalates instead.
-        assert!(!mem.drain_completions().iter().any(|c| c.token == tok));
+        assert!(!completions(&mut mem).iter().any(|c| c.token == tok));
         assert_eq!(mem.stats().read_errors, u64::from(MAX_READ_RETRIES) + 1);
         assert_eq!(mem.stats().read_retries, u64::from(MAX_READ_RETRIES));
     }
@@ -1688,7 +1572,7 @@ mod pressure_tests {
             let mut done = None;
             for now in at + 1..at + 2_000 {
                 mem.tick(now);
-                if let Some(c) = mem.drain_completions().into_iter().find(|c| c.token == tok) {
+                if let Some(c) = completions(&mut mem).into_iter().find(|c| c.token == tok) {
                     done = Some(c);
                     break;
                 }
@@ -1711,21 +1595,58 @@ mod pressure_tests {
     }
 
     #[test]
-    fn reset_stats_clears_counters_but_keeps_contents() {
-        let mut mem = Hierarchy::new(HierarchyConfig::baseline());
-        let L1Outcome::Miss(_) = mem.access_data(0, Addr(0x5000), AccessKind::Read) else {
+    fn a_merge_refused_for_want_of_target_slots_retries_until_done() {
+        // One target per L2 MSHR entry: the sibling L1 block's miss
+        // cannot merge into the in-flight L2 miss and waits in the
+        // retry queue, which must not spin within a tick.
+        let mut cfg = HierarchyConfig::baseline();
+        cfg.mshr_targets = 1;
+        let mut mem = Hierarchy::new(cfg);
+        let L1Outcome::Miss(t0) = mem.access_data(0, Addr(0x1000), AccessKind::Read) else {
             panic!()
         };
-        for now in 1..400 {
-            mem.tick(now);
+        let L1Outcome::Miss(t1) = mem.access_data(0, Addr(0x1020), AccessKind::Read) else {
+            panic!("the sibling L1 block misses separately")
+        };
+        let done = drain(&mut mem, 1, 1_000);
+        assert!(done.iter().any(|c| c.token == t0));
+        assert!(done.iter().any(|c| c.token == t1));
+        assert!(mem.quiescent());
+    }
+
+    #[test]
+    fn a_miss_refused_by_a_drained_slot_pool_waits_for_a_slot() {
+        // Two cores over a one-slot pool: core 1's miss is refused
+        // while core 0's is in flight, and starts once that refill
+        // frees the slot.
+        let mut cfg = HierarchyConfig::baseline();
+        cfg.l2_mshrs = 1;
+        let fabric = SharedFabric::new(cfg, 2).into_shared();
+        let mut cores: Vec<Hierarchy> = (0..2)
+            .map(|i| Hierarchy::on_fabric(cfg, SharedHandle::new(fabric.clone(), i)))
+            .collect();
+        let tokens: Vec<MemToken> = cores
+            .iter_mut()
+            .map(
+                |mem| match mem.access_data(0, Addr(0x2000), AccessKind::Read) {
+                    L1Outcome::Miss(t) => t,
+                    other => panic!("expected miss, got {other:?}"),
+                },
+            )
+            .collect();
+        let mut done: Vec<Vec<Completion>> = vec![Vec::new(), Vec::new()];
+        for now in 1..1_000 {
+            for (mem, out) in cores.iter_mut().zip(&mut done) {
+                mem.tick(now);
+                out.extend(completions(mem));
+            }
         }
-        assert!(mem.stats().l2_demand_misses > 0);
-        mem.reset_stats();
-        assert_eq!(mem.stats().l2_demand_misses, 0);
-        // Contents survive: the block still hits.
-        assert_eq!(
-            mem.access_data(400, Addr(0x5000), AccessKind::Read),
-            L1Outcome::Hit
-        );
+        for (i, (out, tok)) in done.iter().zip(&tokens).enumerate() {
+            let c = out.iter().find(|c| c.token == *tok).expect("completes");
+            assert_eq!(c.source, DataSource::Memory, "core {i}");
+        }
+        assert!(done[1][0].at > done[0][0].at, "core 1 waited for the slot");
+        assert!(fabric.borrow().core_stats(1).shared_mshr_stalls > 0);
+        assert_eq!(fabric.borrow().core_stats(0).shared_mshr_stalls, 0);
     }
 }

@@ -19,6 +19,12 @@
 //! exposes L1 hits combinationally and advances everything deeper on a
 //! nanosecond [`Hierarchy::tick`].
 //!
+//! There is one uncore model. The L2, the bus, DRAM and the L2-MSHR
+//! slot pool live in a [`SharedFabric`], which every [`Hierarchy`]
+//! reaches through a [`SharedHandle`]: a single-core hierarchy
+//! ([`Hierarchy::new`]) is the only core on a fabric of its own, and
+//! the cores of a chip ([`Hierarchy::on_fabric`]) share one.
+//!
 //! The hierarchy also emits the signals VSV's mode controller consumes:
 //! [`VsvSignal::L2MissDetected`] (raised one L2-hit-latency after a
 //! demand request reaches the L2 — the paper's conservative
@@ -39,9 +45,11 @@
 //! };
 //! // ...and completes after the L2-detect + bus + DRAM round trip.
 //! let mut done_at = None;
+//! let mut completions = Vec::new();
 //! for now in 1..400 {
 //!     mem.tick(now);
-//!     if let Some(c) = mem.drain_completions().iter().find(|c| c.token == token) {
+//!     mem.take_completions_into(&mut completions);
+//!     if let Some(c) = completions.iter().find(|c| c.token == token) {
 //!         done_at = Some(c.at);
 //!         break;
 //!     }

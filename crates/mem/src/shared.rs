@@ -1,12 +1,14 @@
-//! The shared uncore fabric for multicore simulation.
+//! The uncore: one L2, one memory bus, one DRAM and one L2-MSHR slot
+//! pool, shared by every core of a machine.
 //!
-//! A chip multiprocessor replicates the *private* hierarchy slice —
-//! L1s, their MSHR files, the prefetch buffer — once per core, while
-//! the L2, the memory bus and DRAM are **shared** and arbitrated.
+//! A machine replicates the *private* hierarchy slice — L1s, their
+//! MSHR files, the prefetch buffer — once per core, while the L2, the
+//! memory bus and DRAM are **shared** and arbitrated.
 //! [`SharedFabric`] owns that shared slice; each per-core
 //! [`Hierarchy`](crate::Hierarchy) routes its L2 probes, bus beats and
-//! DRAM accesses through a [`SharedHandle`] instead of its private
-//! components when one is attached.
+//! DRAM accesses through a [`SharedHandle`]. There is no other uncore:
+//! a single-core machine ([`Hierarchy::new`](crate::Hierarchy::new))
+//! is the only core on a fabric of its own.
 //!
 //! Design invariants:
 //!
@@ -20,13 +22,15 @@
 //!   L2, modeling a multiprogrammed (rate-style) workload: cores
 //!   contend for L2 capacity, bus slots, DRAM banks and MSHR slots,
 //!   but never share cache blocks, so no coherence protocol is
-//!   modeled. The tag sits far above the L2 index bits, so a single
-//!   attached core behaves bit-identically to a private hierarchy.
+//!   modeled. The tag sits far above the L2 index bits, so it changes
+//!   L2 tags only, never which set a block maps to.
 //! * **Shared MSHRs as a slot pool.** Cores keep their private L2
 //!   MSHR *files* (waiter bookkeeping is per-core), but the number of
 //!   chip-wide outstanding L2 misses is capped by one shared pool of
 //!   [`HierarchyConfig::l2_mshrs`](crate::HierarchyConfig) slots — the
-//!   chip has one L2's worth of miss bandwidth, not one per core.
+//!   chip has one L2's worth of miss bandwidth, not one per core. On
+//!   a one-core fabric the pool and the core's file have the same
+//!   size and fill together.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -57,12 +61,12 @@ pub struct FabricCoreStats {
     pub bus_wait_ns: u64,
     /// DRAM accesses this core caused (refills + write-backs).
     pub dram_accesses: u64,
-    /// Shared-L2 lookups this core made (hits + misses) — the same
-    /// count a private L2's `CacheStats::accesses` would report, so
-    /// per-core uncore energy attribution is unchanged at N = 1.
+    /// Shared-L2 lookups this core made (hits + misses), the count
+    /// per-core uncore energy is charged on.
     pub l2_accesses: u64,
-    /// L2 misses this core could not start because the shared MSHR
-    /// pool was exhausted (each is retried next tick).
+    /// Refused starts of an L2 miss by this core because the shared
+    /// MSHR pool was exhausted. A refused miss is retried once a tick,
+    /// and each refusal counts.
     pub shared_mshr_stalls: u64,
 }
 
@@ -189,9 +193,10 @@ impl SharedFabric {
 /// plus this core's index, used for address tagging and per-core stat
 /// attribution. Cheap to clone; clones alias the same fabric.
 ///
-/// Handles are `!Send` by construction (`Rc`): a multicore chip is
-/// stepped by one driver thread in lockstep, which is also what makes
-/// its arbitration deterministic.
+/// Handles are `!Send` by construction (`Rc`), and so is every
+/// [`Hierarchy`](crate::Hierarchy): a machine, one core or a chip, is
+/// built and stepped on one thread, which is also what makes a chip's
+/// lockstep arbitration deterministic.
 #[derive(Debug, Clone)]
 pub struct SharedHandle {
     fabric: Rc<RefCell<SharedFabric>>,
@@ -223,6 +228,13 @@ impl SharedHandle {
     #[must_use]
     pub fn stats(&self) -> FabricCoreStats {
         self.fabric.borrow().core_stats(self.core)
+    }
+
+    /// Number of cores attached to the fabric (1 for a single-core
+    /// machine).
+    #[must_use]
+    pub fn fabric_cores(&self) -> usize {
+        self.fabric.borrow().cores()
     }
 
     pub(crate) fn schedule(&self, now: u64, bytes: u64) -> (u64, u64) {
@@ -257,5 +269,16 @@ impl SharedHandle {
 
     pub(crate) fn release_mshr(&self) {
         self.fabric.borrow_mut().release_mshr()
+    }
+}
+
+#[cfg(test)]
+impl SharedHandle {
+    /// Whether the shared L2 holds this core's `block`.
+    pub(crate) fn l2_probe(&self, block: Addr) -> bool {
+        self.fabric
+            .borrow()
+            .l2
+            .probe(SharedFabric::tag(self.core, block))
     }
 }

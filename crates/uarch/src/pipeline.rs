@@ -1041,7 +1041,7 @@ mod tests {
         }
         insts.push(Inst::load(loop_pc(400), ArchReg::int(2), Addr(0x30_0000)));
         let core = run(VecStream::new(insts), 50_000);
-        let (_, l1d, _) = core.mem().cache_stats();
+        let (_, l1d) = core.mem().cache_stats();
         // The prefetch (not the load) took the L2 miss for the data
         // block, so the final load hits in the L1.
         assert_eq!(core.mem().stats().l2_prefetch_misses, 1);
@@ -1067,7 +1067,7 @@ mod tests {
             .collect();
         let core = run(insts, 200_000);
         assert_eq!(core.stats().committed, 50);
-        let (l1i, _, _) = core.mem().cache_stats();
+        let (l1i, _) = core.mem().cache_stats();
         assert!(l1i.misses >= 50);
     }
 

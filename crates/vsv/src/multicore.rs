@@ -15,12 +15,14 @@
 //! iteration, in core-index order. Shared-fabric arbitration (bus
 //! FIFO, DRAM banking, MSHR admission) therefore resolves identically
 //! on every run: same configuration, same streams, same interleaving
-//! — bit for bit. A core built on the shared fabric has quiescent-stall
+//! — bit for bit. A core that shares its fabric has quiescent-stall
 //! fast-forward cleared at construction: a lone skip would run its
-//! clock ahead of its neighbours', so chip cores are always
-//! ns-stepped. The runner builds a [`MulticoreSystem`] only for
-//! [`SystemConfig::cores`] > 1; a one-core chip is still bit-identical
-//! to the plain [`System`] (`tests/multicore_equivalence.rs`).
+//! clock ahead of its neighbours', so the cores of a chip of two or
+//! more are always ns-stepped. A one-core chip has no neighbours and
+//! keeps fast-forward. The runner builds a [`MulticoreSystem`] only
+//! for [`SystemConfig::cores`] > 1; a one-core chip is bit-identical
+//! to the plain [`System`], itself one core on a one-core fabric
+//! (`tests/multicore_equivalence.rs`).
 //!
 //! # Windows
 //!
@@ -113,7 +115,7 @@ impl MulticoreSystem {
         let mut cores = Vec::with_capacity(cfg.cores);
         for (i, p) in params.iter().enumerate() {
             let handle = SharedHandle::new(Rc::clone(&fabric), i);
-            let mut sys = System::try_new_on_fabric(cfg, Generator::new(*p), handle)?;
+            let mut sys = System::on_fabric(cfg, Generator::new(*p), handle);
             sys.set_workload_name(format!("{}#{i}", p.name));
             cores.push(sys);
         }

@@ -3,8 +3,8 @@
 
 use vsv_isa::InstStream;
 use vsv_mem::{
-    Hierarchy, HierarchyConfig, HierarchyStats, ReadErrorEvent, VsvSignal, READ_ERROR_DETECT_NS,
-    READ_ERROR_RETRY_NS,
+    Hierarchy, HierarchyConfig, HierarchyStats, ReadErrorEvent, SharedFabric, SharedHandle,
+    VsvSignal, READ_ERROR_DETECT_NS, READ_ERROR_RETRY_NS,
 };
 use vsv_power::{ActivitySample, ErrorCurve, PowerAccountant, PowerConfig, StructureId};
 use vsv_prefetch::{TimeKeeping, TimeKeepingConfig};
@@ -99,8 +99,8 @@ pub struct SystemConfig {
     /// its own start regardless of warm-up length or policy.
     pub traffic: Option<TrafficSpec>,
     /// Number of cores (voltage domains) the configuration simulates.
-    /// `1` (the default) is the paper's single-core machine and takes
-    /// exactly the pre-multicore code path. For `N > 1` the run layer
+    /// `1` (the default) is the paper's single-core machine: a plain
+    /// [`System`], alone on a one-core fabric. For `N > 1` the run layer
     /// builds a [`MulticoreSystem`](crate::MulticoreSystem): N
     /// replicated cores — each with its private L1s, prefetcher,
     /// controller and [`DvsPolicy`](crate::DvsPolicy) instance — over
@@ -450,35 +450,20 @@ impl<S: InstStream> System<S> {
     /// Returns [`SimError::InvalidConfig`] if any sub-configuration
     /// fails [`SystemConfig::validate`].
     pub fn try_new(cfg: SystemConfig, stream: S) -> Result<Self, SimError> {
-        Self::try_build(cfg, stream, None)
-    }
-
-    /// [`System::try_new`] for one core of a chip: its hierarchy is
-    /// attached to the chip's shared fabric from the start, so the
-    /// idle private L2 is never allocated.
-    pub(crate) fn try_new_on_fabric(
-        cfg: SystemConfig,
-        stream: S,
-        handle: vsv_mem::SharedHandle,
-    ) -> Result<Self, SimError> {
-        Self::try_build(cfg, stream, Some(handle))
-    }
-
-    fn try_build(
-        cfg: SystemConfig,
-        stream: S,
-        shared: Option<vsv_mem::SharedHandle>,
-    ) -> Result<Self, SimError> {
         cfg.validate()?;
-        // A core on a shared fabric never skips alone: the chip steps
-        // all its cores in nanosecond lockstep, and a lone skip would
-        // run this core's clock ahead of the fabric's arbitration.
-        let fast_forward = cfg.fast_forward && shared.is_none();
-        let mem = match shared {
-            Some(handle) => Hierarchy::on_fabric(cfg.mem, handle),
-            None => Hierarchy::new(cfg.mem),
-        };
-        let mut core = Core::new(cfg.core, mem, stream);
+        let fabric = SharedFabric::new(cfg.mem, 1).into_shared();
+        Ok(Self::on_fabric(cfg, stream, SharedHandle::new(fabric, 0)))
+    }
+
+    /// Builds the core `handle` names on its fabric. `cfg` must have
+    /// passed [`SystemConfig::validate`].
+    pub(crate) fn on_fabric(cfg: SystemConfig, stream: S, handle: SharedHandle) -> Self {
+        // A core that shares its fabric never skips alone: the chip
+        // steps all its cores in nanosecond lockstep, and a lone skip
+        // would run this core's clock ahead of the fabric's
+        // arbitration. A core alone on its fabric has no one to race.
+        let fast_forward = cfg.fast_forward && handle.fabric_cores() == 1;
+        let mut core = Core::new(cfg.core, Hierarchy::on_fabric(cfg.mem, handle), stream);
         let error_curve = cfg.error_curve();
         if error_curve.is_some() {
             // The threshold starts at VDDH's (exactly 0) and follows
@@ -510,7 +495,7 @@ impl<S: InstStream> System<S> {
             at_ns: 0,
             mode: last_mode,
         });
-        Ok(System {
+        System {
             core,
             controller,
             power: PowerAccountant::new(cfg.power),
@@ -531,7 +516,7 @@ impl<S: InstStream> System<S> {
             traffic: cfg.traffic.map(|spec| TrafficState::new(spec, 0, 0)),
             last_mode,
             recent_transitions,
-        })
+        }
     }
 
     /// Names the workload in produced [`RunResult`]s.

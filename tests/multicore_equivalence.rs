@@ -1,11 +1,11 @@
 //! The multicore backward-compatibility contract: a one-core
-//! [`MulticoreSystem`] — one voltage domain over the shared fabric —
+//! [`MulticoreSystem`] — one voltage domain alone on its fabric —
 //! reproduces the plain single-core [`System`] *bit for bit* (same
-//! cycles, same energy, same per-nanosecond mode trace), and the
-//! runner's `--cores 1` path is byte-identical to the pre-multicore
-//! path with fast-forward on or off. There is no legacy single-core
-//! fabric to fall back on when `cores == 1` reaches the shared code,
-//! so this suite is what keeps the lift honest.
+//! cycles, same energy, same per-nanosecond mode trace) with
+//! fast-forward on or off, and the runner's `--cores 1` path is
+//! byte-identical to the plain `System` path. Both sides run on a
+//! one-core fabric; this suite pins that the lockstep driver adds
+//! nothing of its own.
 //!
 //! The N = 2 half pins the new behaviour: lockstep runs are
 //! deterministic, chip results carry one window per core, and two
@@ -35,13 +35,12 @@ fn policies() -> [SystemConfig; 3] {
     ]
 }
 
-/// Plain single-core reference: trace on, nanosecond-stepped
-/// (the multicore lockstep loop never fast-forwards, so the
-/// bit-identity claim is against the stepped path).
+/// Plain single-core reference, trace on. A core alone on its fabric
+/// may fast-forward, in a chip or not, so `cfg.fast_forward` holds on
+/// both sides.
 fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut sys = System::try_new(cfg.with_fast_forward(false), Generator::new(params))
-        .expect("valid config");
+    let mut sys = System::try_new(cfg, Generator::new(params)).expect("valid config");
     sys.set_workload_name(params.name);
     let trace = ModeTrace::new(TRACE_CAP);
     sys.set_event_sink(TraceLevel::Full, Box::new(trace.clone()));
@@ -53,8 +52,8 @@ fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace
 /// The same run through a one-domain chip.
 fn run_chip_of_1(params: &WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut chip = MulticoreSystem::try_new(cfg.with_fast_forward(false).with_cores(1), params)
-        .expect("valid one-core config");
+    let mut chip =
+        MulticoreSystem::try_new(cfg.with_cores(1), params).expect("valid one-core config");
     let trace = ModeTrace::new(TRACE_CAP);
     chip.set_event_sink(0, TraceLevel::Full, Box::new(trace.clone()));
     chip.try_warm_up(e.warmup_instructions).expect("warm-up");
@@ -73,10 +72,15 @@ fn normalized(mut r: RunResult) -> RunResult {
 
 /// Cycles, energy, mode residency, histograms: the one-core chip
 /// reproduces the plain system exactly under every policy whose
-/// decisions could have been perturbed by the shared fabric.
+/// decisions could have been perturbed by the shared fabric, stepped
+/// or fast-forwarded. The trace holds samples only, so the lockstep's
+/// extra `WindowClosed` does not enter the comparison.
 #[test]
 fn one_core_chip_is_bit_identical_to_plain_system() {
-    for cfg in policies() {
+    for cfg in policies()
+        .into_iter()
+        .flat_map(|c| [false, true].map(|ff| c.with_fast_forward(ff)))
+    {
         for name in TWIN_MIX {
             let params = twin(name).expect("twin exists");
             let (plain, plain_trace) = run_plain(params, cfg);
@@ -85,25 +89,27 @@ fn one_core_chip_is_bit_identical_to_plain_system() {
             assert_eq!(
                 normalized(chip.core_results[0].clone()),
                 normalized(plain.clone()),
-                "core-0 window diverged from the plain system on {name} ({:?})",
-                cfg.vsv.policy
+                "core-0 window diverged from the plain system on {name} ({:?}, ff {})",
+                cfg.vsv.policy,
+                cfg.fast_forward
             );
             assert_eq!(
                 normalized(chip),
                 normalized(plain),
-                "chip aggregate diverged from the plain system on {name} ({:?})",
-                cfg.vsv.policy
+                "chip aggregate diverged from the plain system on {name} ({:?}, ff {})",
+                cfg.vsv.policy,
+                cfg.fast_forward
             );
             assert_eq!(
                 chip_trace, plain_trace,
-                "per-nanosecond mode trace diverged on {name} ({:?})",
-                cfg.vsv.policy
+                "per-nanosecond mode trace diverged on {name} ({:?}, ff {})",
+                cfg.vsv.policy, cfg.fast_forward
             );
         }
     }
 }
 
-/// The runner's dispatch: `--cores 1` takes the pre-multicore path,
+/// The runner's dispatch: `--cores 1` takes the plain `System` path,
 /// so results are byte-identical with fast-forward on or off.
 #[test]
 fn runner_with_cores_1_is_byte_identical() {
