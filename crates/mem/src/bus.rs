@@ -48,7 +48,6 @@ impl BusConfig {
 pub struct Bus {
     cfg: BusConfig,
     free_at: u64,
-    transactions: u64,
     busy_ns: u64,
 }
 
@@ -65,7 +64,6 @@ impl Bus {
         Bus {
             cfg,
             free_at: 0,
-            transactions: 0,
             busy_ns: 0,
         }
     }
@@ -88,7 +86,6 @@ impl Bus {
         let start = now.max(self.free_at);
         let end = start + duration;
         self.free_at = end;
-        self.transactions += 1;
         self.busy_ns += duration;
         (start, end)
     }
@@ -97,12 +94,6 @@ impl Bus {
     #[must_use]
     pub fn free_at(&self) -> u64 {
         self.free_at
-    }
-
-    /// Number of transactions scheduled.
-    #[must_use]
-    pub fn transactions(&self) -> u64 {
-        self.transactions
     }
 
     /// Total nanoseconds of bus occupancy scheduled.
@@ -166,7 +157,6 @@ mod tests {
         let mut bus = Bus::new(BusConfig::baseline());
         bus.schedule(0, 64);
         bus.schedule(0, 32);
-        assert_eq!(bus.transactions(), 2);
         assert_eq!(bus.busy_ns(), 12);
         assert!((bus.utilisation(24) - 0.5).abs() < 1e-12);
         assert_eq!(bus.utilisation(0), 0.0);

@@ -128,18 +128,6 @@ impl SharedFabric {
         self.per_core[core]
     }
 
-    /// The shared bus, for chip-level utilisation reporting.
-    #[must_use]
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
-    /// Total DRAM accesses served chip-wide.
-    #[must_use]
-    pub fn dram_accesses(&self) -> u64 {
-        self.dram.accesses()
-    }
-
     fn tag(core: usize, addr: Addr) -> Addr {
         Addr(addr.0 | ((core as u64 + 1) << CORE_TAG_SHIFT))
     }
@@ -270,11 +258,9 @@ impl SharedHandle {
     pub(crate) fn release_mshr(&self) {
         self.fabric.borrow_mut().release_mshr()
     }
-}
 
-#[cfg(test)]
-impl SharedHandle {
-    /// Whether the shared L2 holds this core's `block`.
+    /// Whether the shared L2 holds this core's `block`. A tag check
+    /// only: it counts no access and leaves the replacement order alone.
     pub(crate) fn l2_probe(&self, block: Addr) -> bool {
         self.fabric
             .borrow()

@@ -397,29 +397,32 @@ impl Ruu {
             .filter(|e| e.state == EntryState::Completed)
     }
 
-    /// Retires the head entry (which must be completed) and returns a
-    /// copy of it. The slot keeps its contents until a later dispatch
-    /// reuses it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the head is missing or not completed.
-    pub fn pop_commit(&mut self) -> RuuEntry {
-        let e = *self.entry(self.head_seq).expect("commit from empty RUU");
-        assert_eq!(e.state, EntryState::Completed, "commit of incomplete entry");
+    /// Retires the head entry, which the caller has just read through
+    /// [`Ruu::commit_ready`]: the head must be present and completed
+    /// (checked in debug builds only). The slot keeps its contents
+    /// until a later dispatch reuses it.
+    pub fn pop_commit(&mut self) {
+        let seq = self.head_seq;
+        let head = &self.slots[(seq & self.mask) as usize];
+        debug_assert!(seq < self.next_seq, "commit from empty RUU");
+        debug_assert_eq!(
+            head.state,
+            EntryState::Completed,
+            "commit of incomplete entry"
+        );
+        let inst = head.inst;
         self.head_seq += 1;
-        let op = e.inst.op();
+        let op = inst.op();
         self.lsq_occupancy -= usize::from(op.is_mem());
         if op == OpClass::Store {
             let front = self.stores.pop_front();
-            debug_assert_eq!(front.map(|(s, _)| s), Some(e.seq), "stores commit in order");
+            debug_assert_eq!(front.map(|(s, _)| s), Some(seq), "stores commit in order");
         }
         // The architectural value now lives in the regfile.
-        let dst = &mut self.reg_producer[e.inst.dst().map_or(NO_DST, ArchReg::index)];
-        if *dst == e.seq {
+        let dst = &mut self.reg_producer[inst.dst().map_or(NO_DST, ArchReg::index)];
+        if *dst == seq {
             *dst = NO_PRODUCER;
         }
-        e
     }
 
     /// Whether *any* older store is still in flight ahead of `seq`
@@ -543,8 +546,9 @@ mod tests {
         r.mark_issued(a);
         r.complete(a);
         assert_eq!(r.commit_ready().unwrap().seq, a);
-        assert_eq!(r.pop_commit().seq, a);
-        assert_eq!(r.pop_commit().seq, b);
+        r.pop_commit();
+        assert_eq!(r.commit_ready().unwrap().seq, b);
+        r.pop_commit();
         assert!(r.is_empty());
     }
 

@@ -4,13 +4,31 @@
 //! deterministic [`InstStream`] with the prescribed memory behaviour,
 //! ILP, branch behaviour and software-prefetch coverage. See the crate
 //! docs for how each axis maps onto SPEC2K characteristics.
+//!
+//! Two things keep the generator cheap without changing a bit of its
+//! output:
+//!
+//! * **Integer-threshold draws.** Every Bernoulli draw compares the raw
+//!   53-bit draw `m = next_u64() >> 11` with a threshold `⌈p · 2⁵³⌉`
+//!   fixed at construction (an `Odds`), in place of `unit() < p`.
+//!   Since `unit()` is exactly `m · 2⁻⁵³`, `m · 2⁻⁵³ < p ⟺ m < ⌈p · 2⁵³⌉`
+//!   for every `f64` `p`, so each draw has the same outcome and
+//!   advances the RNG the same way.
+//! * **Block emission.** [`InstStream::next_inst`] hands instructions
+//!   out of a fixed block of 64 and refills the whole block in
+//!   one tight loop when it runs dry. The stream is a function of the
+//!   generator's own state alone, so producing it ahead changes nothing
+//!   the core sees, while the planner's unpredictable branches and its
+//!   serial xorshift chain run back to back instead of between the
+//!   core's fetch, dispatch and issue. [`Generator::emitted`] counts
+//!   the instructions handed out, not the ones produced ahead.
 
 use std::collections::VecDeque;
 
 use vsv_isa::{Addr, ArchReg, BranchInfo, BranchKind, Inst, InstStream, OpClass, Pc};
 
 use crate::params::{AccessPattern, WorkloadParams};
-use crate::rng::XorShift64;
+use crate::rng::{Odds, XorShift64};
 
 /// Base address of the hot (L1-resident) data region.
 const HOT_BASE: u64 = 0x0800_0000;
@@ -20,6 +38,8 @@ const FAR_BASE: u64 = 0x1000_0000;
 const FAR_STRIDE: u64 = 32;
 /// The PC a planned instruction carries until it is emitted.
 const UNPLACED: Pc = Pc(0);
+/// Instructions produced per refill of the emission block.
+const BLOCK: usize = 64;
 
 /// The deterministic workload twin generator.
 ///
@@ -54,17 +74,53 @@ pub struct Generator {
     last_far_dest: Option<ArchReg>,
     pending_dep: Option<ArchReg>,
     burst_left: usize,
-    emitted: u64,
+    // Instructions produced so far, in whole blocks.
+    produced: u64,
+    // The last block produced; `block[cursor..]` are still to be handed
+    // out.
+    block: [Inst; BLOCK],
+    cursor: usize,
     // One `SITE_*` flag byte per PC slot of the code footprint, fixed
     // at construction (the same PC always holds the same kind of
     // instruction).
     sites: Vec<u8>,
+    odds: DrawOdds,
+}
+
+/// The threshold of every Bernoulli draw the generator makes, fixed at
+/// construction from its parameters.
+#[derive(Debug, Clone, Copy)]
+struct DrawOdds {
     // `mem_fraction / (1 - branch_fraction)`: the memory share of the
     // planned (non-branch) instructions.
-    mem_share: f64,
+    mem_share: Odds,
+    store: Odds,
     // `far_fraction / miss_burst`: the chance a load slot starts a
     // burst of far loads.
-    burst_start: f64,
+    burst_start: Odds,
+    chase: Odds,
+    miss_dep: Odds,
+    sw_prefetch: Odds,
+    fp: Odds,
+    muldiv: Odds,
+    // A random-direction branch site's taken chance.
+    coin: Odds,
+}
+
+impl DrawOdds {
+    fn new(p: &WorkloadParams) -> Self {
+        DrawOdds {
+            mem_share: Odds::new(p.mem_fraction / (1.0 - p.branch_fraction)),
+            store: Odds::new(p.store_ratio),
+            burst_start: Odds::new(p.far_fraction / p.miss_burst as f64),
+            chase: Odds::new(p.chase_dependency),
+            miss_dep: Odds::new(p.miss_dependency),
+            sw_prefetch: Odds::new(p.sw_prefetch_coverage),
+            fp: Odds::new(p.fp_fraction),
+            muldiv: Odds::new(p.muldiv_fraction),
+            coin: Odds::new(0.5),
+        }
+    }
 }
 
 /// Site flag: a conditional branch lives at this PC slot.
@@ -104,10 +160,11 @@ impl Generator {
             last_far_dest: None,
             pending_dep: None,
             burst_left: 0,
-            emitted: 0,
+            produced: 0,
+            block: [Inst::nop(UNPLACED); BLOCK],
+            cursor: BLOCK,
             sites,
-            mem_share: params.mem_fraction / (1.0 - params.branch_fraction),
-            burst_start: params.far_fraction / params.miss_burst as f64,
+            odds: DrawOdds::new(&params),
             p: params,
         };
         // Prime the plan queue so software prefetches always lead
@@ -130,18 +187,17 @@ impl Generator {
     /// Dynamic instructions emitted so far.
     #[must_use]
     pub fn emitted(&self) -> u64 {
-        self.emitted
+        self.produced - (BLOCK - self.cursor) as u64
     }
 
     // ---- planning ---------------------------------------------------
 
     fn plan_one(&mut self) {
-        // Branches are emitted at fixed PC *sites* (see `next_inst`),
+        // Branches are emitted at fixed PC *sites* (see `produce`),
         // so the planner only mixes memory and compute ops; the memory
         // fraction is renormalised to keep the overall mix on target.
-        let r = self.rng.unit();
-        let planned = if r < self.mem_share {
-            if self.rng.chance(self.p.store_ratio) {
+        let planned = if self.rng.hit(self.odds.mem_share) {
+            if self.rng.hit(self.odds.store) {
                 let addr = self.hot_addr();
                 Inst::store(UNPLACED, addr, self.chain_reg_int(self.chain))
             } else if self.take_burst_slot() {
@@ -165,7 +221,7 @@ impl Generator {
             self.burst_left -= 1;
             return true;
         }
-        if self.rng.chance(self.burst_start) {
+        if self.rng.hit(self.odds.burst_start) {
             self.burst_left = self.p.miss_burst - 1;
             true
         } else {
@@ -176,16 +232,16 @@ impl Generator {
     fn plan_far_load(&mut self) -> Inst {
         let addr = self.far_addr();
         let dst = self.next_far_dest();
-        let base = if self.rng.chance(self.p.chase_dependency) {
+        let base = if self.rng.hit(self.odds.chase) {
             self.last_far_dest
         } else {
             None
         };
         self.last_far_dest = Some(dst);
-        if self.rng.chance(self.p.miss_dependency) {
+        if self.rng.hit(self.odds.miss_dep) {
             self.pending_dep = Some(dst);
         }
-        if self.rng.chance(self.p.sw_prefetch_coverage) {
+        if self.rng.hit(self.odds.sw_prefetch) {
             // Emitted immediately; the load surfaces after the plan
             // queue drains (≈ sw_prefetch_distance instructions later).
             self.prefetch_now.push_back(addr);
@@ -205,8 +261,8 @@ impl Generator {
         ];
         let c = self.chain;
         self.chain = if c + 1 == self.p.ilp_chains { 0 } else { c + 1 };
-        let fp = self.rng.chance(self.p.fp_fraction);
-        let muldiv = self.rng.chance(self.p.muldiv_fraction);
+        let fp = self.rng.hit(self.odds.fp);
+        let muldiv = self.rng.hit(self.odds.muldiv);
         let op = OPS[usize::from(fp) * 2 + usize::from(muldiv)];
         // Chain c lives in r(1+c), or f(1+c) for FP ops.
         let reg = ArchReg::from_index(usize::from(fp) * usize::from(ArchReg::NUM_INT) + 1 + c);
@@ -262,11 +318,36 @@ impl Generator {
 
     // ---- emission ---------------------------------------------------
 
-    fn emit(&mut self, planned: Inst) -> Inst {
-        let inst = planned.at(Pc(self.pc));
+    /// Refills the whole block with the next [`BLOCK`] instructions.
+    fn refill(&mut self) {
+        for i in 0..BLOCK {
+            self.block[i] = self.produce();
+        }
+        self.produced += BLOCK as u64;
+        self.cursor = 0;
+    }
+
+    /// Produces the next instruction of the stream.
+    fn produce(&mut self) -> Inst {
+        // Loop-closing jump takes priority at the footprint boundary.
+        if self.pc + Pc::STEP >= self.p.code_footprint_bytes {
+            return self.emit_loop_jump();
+        }
+        // Fixed branch sites pre-empt the plan queue.
+        let site = self.sites[(self.pc / Pc::STEP) as usize];
+        if site & SITE_BRANCH != 0 {
+            return self.emit_branch_site(site);
+        }
+        let pc = Pc(self.pc);
         self.pc += Pc::STEP;
-        self.emitted += 1;
-        inst
+        if let Some(addr) = self.prefetch_now.pop_front() {
+            return Inst::prefetch(pc, addr);
+        }
+        while self.planned.len() <= self.p.sw_prefetch_distance {
+            self.plan_one();
+        }
+        let planned = self.planned.pop_front().expect("planned queue nonempty");
+        planned.at(pc)
     }
 
     fn wrap_pc(&self, pc: u64) -> u64 {
@@ -278,13 +359,12 @@ impl Generator {
     fn emit_branch_site(&mut self, site: u8) -> Inst {
         let pc = Pc(self.pc);
         let taken = if site & SITE_RANDOM != 0 {
-            self.rng.chance(0.5)
+            self.rng.hit(self.odds.coin)
         } else {
             site & SITE_TAKEN != 0
         };
         let target = Pc(self.wrap_pc(self.pc + 8));
         self.pc = if taken { target.0 } else { self.pc + Pc::STEP };
-        self.emitted += 1;
         Inst::branch(
             pc,
             BranchInfo {
@@ -300,7 +380,6 @@ impl Generator {
     fn emit_loop_jump(&mut self) -> Inst {
         let pc = Pc(self.pc);
         self.pc = 0;
-        self.emitted += 1;
         Inst::branch(
             pc,
             BranchInfo {
@@ -316,26 +395,12 @@ impl Generator {
 impl InstStream for Generator {
     #[inline]
     fn next_inst(&mut self) -> Option<Inst> {
-        // Loop-closing jump takes priority at the footprint boundary.
-        if self.pc + Pc::STEP >= self.p.code_footprint_bytes {
-            return Some(self.emit_loop_jump());
+        if self.cursor == BLOCK {
+            self.refill();
         }
-        // Fixed branch sites pre-empt the plan queue.
-        let site = self.sites[(self.pc / Pc::STEP) as usize];
-        if site & SITE_BRANCH != 0 {
-            return Some(self.emit_branch_site(site));
-        }
-        if let Some(addr) = self.prefetch_now.pop_front() {
-            let pc = Pc(self.pc);
-            self.pc += Pc::STEP;
-            self.emitted += 1;
-            return Some(Inst::prefetch(pc, addr));
-        }
-        while self.planned.len() <= self.p.sw_prefetch_distance {
-            self.plan_one();
-        }
-        let planned = self.planned.pop_front().expect("planned queue nonempty");
-        Some(self.emit(planned))
+        let inst = self.block[self.cursor];
+        self.cursor += 1;
+        Some(inst)
     }
 }
 
@@ -382,6 +447,28 @@ mod tests {
         let a = collect(WorkloadParams::compute_bound("t"), 5000);
         let b = collect(WorkloadParams::compute_bound("t"), 5000);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_clone_taken_mid_block_continues_the_same_stream() {
+        let mut p = WorkloadParams::compute_bound("clone");
+        p.far_fraction = 0.3;
+        p.sw_prefetch_coverage = 0.5;
+        p.branch_entropy = 0.5;
+        let whole = collect(p, 1_000);
+        let mut g = Generator::new(p);
+        // 100 is not a multiple of the block size: the clone is taken
+        // mid-block.
+        for expected in &whole[..100] {
+            assert_eq!(g.next_inst().as_ref(), Some(expected));
+        }
+        let mut twin = g.clone();
+        assert_eq!(twin.emitted(), 100);
+        for expected in &whole[100..] {
+            assert_eq!(twin.next_inst().as_ref(), Some(expected));
+            assert_eq!(g.next_inst().as_ref(), Some(expected));
+        }
+        assert_eq!(twin.emitted(), 1_000);
     }
 
     #[test]

@@ -63,6 +63,31 @@ impl XorShift64 {
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit() < p
     }
+
+    /// Bernoulli trial against a threshold fixed ahead of time: the
+    /// same outcome, and the same state advance, as `chance(p)` for
+    /// the `p` that `odds` was built from, without the float compare.
+    pub(crate) fn hit(&mut self, odds: Odds) -> bool {
+        (self.next_u64() >> 11) < odds.0
+    }
+}
+
+/// A Bernoulli probability as an integer threshold on the raw 53-bit
+/// draw `m = next_u64() >> 11`.
+///
+/// [`XorShift64::unit`] is `m · 2⁻⁵³`, which is exact, so
+/// `m · 2⁻⁵³ < p ⟺ m < p · 2⁵³ ⟺ m < ⌈p · 2⁵³⌉` for integer `m`.
+/// The scaling by a power of two is exact too, and the saturating cast
+/// keeps the identity at the edges: 0, negative values and NaN give 0
+/// (never hit), values of 1 and above give at least 2⁵³ (always hit).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Odds(u64);
+
+impl Odds {
+    /// The threshold equivalent to `chance(p)`.
+    pub(crate) fn new(p: f64) -> Self {
+        Odds((p * (1u64 << 53) as f64).ceil() as u64)
+    }
 }
 
 #[cfg(test)]
@@ -118,6 +143,67 @@ mod tests {
         let mut r = XorShift64::new(11);
         let hits = (0..10_000).filter(|_| r.chance(0.25)).count();
         assert!((2000..3000).contains(&hits), "got {hits}");
+    }
+
+    #[test]
+    fn odds_hit_matches_chance_draw_for_draw() {
+        // Every twin's parameter values that reach a Bernoulli draw,
+        // the branch sites' 0.5, and the edges of the identity.
+        let mut ps = vec![
+            0.0,
+            1e-300,
+            f64::MIN_POSITIVE / 4.0,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            2.0,
+            -0.1,
+            f64::NAN,
+        ];
+        for t in crate::spec2k_twins() {
+            let mem_share = t.mem_fraction / (1.0 - t.branch_fraction);
+            let burst_start = t.far_fraction / t.miss_burst as f64;
+            ps.extend([
+                mem_share,
+                t.store_ratio,
+                burst_start,
+                t.chase_dependency,
+                t.miss_dependency,
+                t.sw_prefetch_coverage,
+                t.fp_fraction,
+                t.muldiv_fraction,
+            ]);
+        }
+        for (i, &p) in ps.iter().enumerate() {
+            let odds = Odds::new(p);
+            let mut a = XorShift64::new(0x5EED + i as u64);
+            let mut b = a.clone();
+            for n in 0..100_000 {
+                assert_eq!(a.hit(odds), b.chance(p), "p = {p:e}, draw {n}");
+            }
+            assert_eq!(a, b, "p = {p:e}: both RNGs end in the same state");
+        }
+    }
+
+    #[test]
+    fn odds_thresholds_at_the_edges() {
+        assert_eq!(Odds::new(0.0), Odds(0));
+        assert_eq!(Odds::new(-0.1), Odds(0));
+        assert_eq!(Odds::new(f64::NAN), Odds(0));
+        assert_eq!(Odds::new(1e-300), Odds(1));
+        assert_eq!(Odds::new(0.5), Odds(1 << 52));
+        assert_eq!(Odds::new(1.0), Odds(1 << 53));
+        assert_eq!(Odds::new(f64::INFINITY), Odds(u64::MAX));
+        // Around each threshold the integer compare agrees with the
+        // float one draw value by draw value, where random draws would
+        // almost never land.
+        let scale = (1u64 << 53) as f64;
+        for p in [1e-300, 0.3, 0.1 + 0.2, 0.5, 2.0 / 3.0, 1.0 - f64::EPSILON] {
+            let t = Odds::new(p).0;
+            for m in t.saturating_sub(3)..(t + 3).min(1 << 53) {
+                assert_eq!(m < t, (m as f64) / scale < p, "p = {p:e}, m = {m}");
+            }
+        }
     }
 
     #[test]
