@@ -1,8 +1,8 @@
-//! Shared harness utilities for the two host-timing binaries,
-//! `throughput` and `campaign_scale` (every committed result without a
-//! host timing in it is `vsv-cli reproduce NAME`).
+//! Shared harness utilities for the host-timing binary
+//! `campaign_scale` (every committed result without a host timing in
+//! it is `vsv-cli reproduce NAME`; simulator speed is `perfbench/`).
 //!
-//! Both binaries honour three environment variables so the same code
+//! The binary honours three environment variables so the same code
 //! serves quick smoke runs and full runs:
 //!
 //! * `VSV_INSTS` — measured instructions per run (default 300 000);
@@ -10,11 +10,11 @@
 //! * `VSV_WORKERS` — worker threads for the experiment grid (default:
 //!   the host's available parallelism; see [`vsv::default_workers`]).
 //!
-//! Every number either bin reads from its environment goes through
+//! Every number the binary reads from its environment goes through
 //! [`env_value`]: a set value that does not parse, or is zero where
-//! zero means nothing (every count, scale and rate but a shard index),
-//! makes the bin exit with code 2 naming the variable, before anything
-//! is simulated.
+//! zero means nothing (every count and scale but a shard index), makes
+//! the binary exit with code 2 naming the variable, before anything is
+//! simulated.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,12 +101,8 @@ mod tests {
         );
         assert_eq!(parse_value("VSV_WARMUP", Some("1"), true), Ok(Some(1u64)));
         assert_eq!(
-            parse_value("VSV_THROUGHPUT_REPS", Some("2"), true),
-            Ok(Some(2u32))
-        );
-        assert_eq!(
-            parse_value("VSV_PRE_PR_BASELINE", Some("2.5e6"), true),
-            Ok(Some(2.5e6f64))
+            parse_value("VSV_CAMPAIGN_SHARDS", Some("4"), true),
+            Ok(Some(4usize))
         );
         assert_eq!(
             parse_value("VSV_CAMPAIGN_SHARD", Some("0"), false),
@@ -118,31 +114,19 @@ mod tests {
     #[test]
     fn a_bad_scale_is_an_error_naming_the_variable() {
         let bad_counts = ["", "3k", "2x", "0", "-5", " 3000", "1e5"];
-        for name in ["VSV_WARMUP", "VSV_INSTS", "VSV_THROUGHPUT_REPS"] {
+        for name in ["VSV_WARMUP", "VSV_INSTS"] {
             for bad in bad_counts {
-                let err = parse_value::<u32>(name, Some(bad), true).expect_err(bad);
+                let err = parse_value::<u64>(name, Some(bad), true).expect_err(bad);
                 assert!(err.starts_with(&format!("{name}=")), "{bad:?}: {err}");
             }
         }
-        for name in [
-            "VSV_CAMPAIGN_STRESS_CELLS",
-            "VSV_CAMPAIGN_SHARDS",
-            "VSV_CAMPAIGN_STRESS",
-        ] {
-            for bad in bad_counts {
-                let err = parse_value::<usize>(name, Some(bad), true).expect_err(bad);
-                assert!(err.starts_with(&format!("{name}=")), "{bad:?}: {err}");
-            }
+        for bad in bad_counts {
+            let err = parse_value::<usize>("VSV_CAMPAIGN_SHARDS", Some(bad), true).expect_err(bad);
+            assert!(err.starts_with("VSV_CAMPAIGN_SHARDS="), "{bad:?}: {err}");
         }
         for bad in ["", "x", "-1", "1.5"] {
             let err = parse_value::<usize>("VSV_CAMPAIGN_SHARD", Some(bad), false).expect_err(bad);
             assert!(err.starts_with("VSV_CAMPAIGN_SHARD="), "{bad:?}: {err}");
-        }
-        for name in ["VSV_THROUGHPUT_BASELINE", "VSV_PRE_PR_BASELINE"] {
-            for bad in ["", "fast", "0", "0.0", "-1e6", "NaN"] {
-                let err = parse_value::<f64>(name, Some(bad), true).expect_err(bad);
-                assert!(err.starts_with(&format!("{name}=")), "{bad:?}: {err}");
-            }
         }
     }
 }

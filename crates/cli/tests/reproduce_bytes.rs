@@ -1,12 +1,13 @@
 //! Byte-exact text of every paper `reproduce NAME` experiment at a
-//! tiny instruction count, its `--json` report, the data artifacts'
-//! worker-count independence and JSON shape, and the usage error for
-//! an unknown name. Each paper experiment is one grid plus one
-//! renderer; this suite pins what the pair prints, byte for byte.
+//! tiny instruction count, its `--json` report, every experiment's
+//! worker-count independence, the data artifacts' JSON shape, and the
+//! usage error for an unknown name. Each paper experiment is one grid
+//! plus one renderer; this suite pins what the pair prints, byte for
+//! byte.
 
 use std::process::Command as Process;
 
-use vsv_cli::{execute, execute_with_exit, Command};
+use vsv_cli::{execute_with_exit, Command};
 
 /// FNV-1a over the printed output.
 fn fnv(text: &str) -> u64 {
@@ -18,17 +19,43 @@ fn fnv(text: &str) -> u64 {
     h
 }
 
-/// `reproduce NAME` at 3k measured + 1k warm-up instructions.
-fn reproduce(name: &str, json: bool) -> String {
-    execute(Command::Reproduce {
+/// `reproduce NAME` at 3k measured + 1k warm-up instructions on
+/// `workers` workers; it must exit 0.
+fn reproduce(name: &str, json: bool, workers: usize) -> String {
+    let (out, code) = execute_with_exit(Command::Reproduce {
         name: name.to_owned(),
         insts: 3_000,
         warmup: 1_000,
-        workers: 1,
+        workers,
         json,
         svg: None,
     })
-    .expect("reproduce runs")
+    .expect("reproduce runs");
+    assert_eq!(code, 0, "{name}: {out}");
+    out
+}
+
+/// `json` with every `"wall_ns"` and `"workers"` value set to 0: the
+/// host wall-clock and the worker-count stamp are the only fields of a
+/// `SweepReport` allowed to differ between worker counts.
+fn scrub(json: &str) -> String {
+    let mut text = json.to_owned();
+    for key in ["\"wall_ns\": ", "\"workers\": "] {
+        let mut out = String::with_capacity(text.len());
+        let mut rest = text.as_str();
+        while let Some(pos) = rest.find(key) {
+            let (head, tail) = rest.split_at(pos + key.len());
+            out.push_str(head);
+            out.push('0');
+            let digits = tail
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(tail.len());
+            rest = &tail[digits..];
+        }
+        out.push_str(rest);
+        text = out;
+    }
+    text
 }
 
 /// (experiment, FNV-1a of its printed text).
@@ -46,7 +73,7 @@ const PINNED: [(&str, u64); 7] = [
 fn every_experiment_prints_its_pinned_bytes() {
     let mut diverged = Vec::new();
     for (name, pinned) in PINNED {
-        let text = reproduce(name, false);
+        let text = reproduce(name, false, 1);
         let seen = fnv(&text);
         if seen != pinned {
             diverged.push(format!("(\"{name}\", {seen:#x}),\n{text}"));
@@ -56,9 +83,25 @@ fn every_experiment_prints_its_pinned_bytes() {
 }
 
 #[test]
+fn paper_experiments_print_the_same_bytes_at_any_worker_count() {
+    for (name, pinned) in PINNED {
+        assert_eq!(
+            fnv(&reproduce(name, false, 2)),
+            pinned,
+            "{name} text at 2 workers"
+        );
+        assert_eq!(
+            scrub(&reproduce(name, true, 1)),
+            scrub(&reproduce(name, true, 2)),
+            "{name} JSON"
+        );
+    }
+}
+
+#[test]
 fn json_prints_the_experiments_sweep_report() {
     let report: vsv::SweepReport =
-        serde_json::from_str(&reproduce("figure5", true)).expect("a SweepReport");
+        serde_json::from_str(&reproduce("figure5", true, 1)).expect("a SweepReport");
     // Figure 5: every high-MR twin under the baseline plus four down
     // thresholds.
     let cells = vsv_workloads::high_mr_names().len() * 5;
@@ -77,22 +120,9 @@ fn keys(json: &str) -> Vec<String> {
 #[test]
 fn data_artifacts_print_the_same_bytes_at_any_worker_count() {
     for name in ["policy", "ladder", "reliability", "traffic", "multicore"] {
-        let run = |workers, json| {
-            let (out, code) = execute_with_exit(Command::Reproduce {
-                name: name.to_owned(),
-                insts: 3_000,
-                warmup: 1_000,
-                workers,
-                json,
-                svg: None,
-            })
-            .expect("reproduce runs");
-            assert_eq!(code, 0, "{name}: {out}");
-            out
-        };
-        let (text, json) = (run(1, false), run(1, true));
-        assert_eq!(text, run(2, false), "{name} text");
-        assert_eq!(json, run(2, true), "{name} JSON");
+        let (text, json) = (reproduce(name, false, 1), reproduce(name, true, 1));
+        assert_eq!(text, reproduce(name, false, 2), "{name} text");
+        assert_eq!(json, reproduce(name, true, 2), "{name} JSON");
         assert!(text.ends_with('\n') && !json.ends_with('\n'), "{name}");
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let committed = std::fs::read_to_string(format!("{path}/BENCH_{name}.json"))

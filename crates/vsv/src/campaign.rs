@@ -599,7 +599,7 @@ impl Campaign {
     /// [`JobRecord`] line per cell in local grid order, atomically
     /// (written to `<path>.tmp`, then renamed). Each record is
     /// validated against the planned grid before writing — this is
-    /// also how the memory benchmark synthesizes large shard files
+    /// also how the merge-memory test synthesizes large shard files
     /// without simulating every cell.
     ///
     /// # Errors
@@ -903,27 +903,6 @@ impl Campaign {
         let summary = self.merge_to_writer(inputs, opts, &mut buf)?;
         let text = String::from_utf8(buf).map_err(|e| io_err(Path::new(MERGE_OUTPUT), e))?;
         Ok((text, summary))
-    }
-
-    /// The *buffered* merge: materializes the full merged
-    /// [`SweepReport`] in memory by parsing the streamed document.
-    /// O(cells) memory by construction — this is the reference
-    /// implementation the memory benchmark contrasts with the
-    /// streaming path, and what a consumer that needs the typed
-    /// report does.
-    ///
-    /// # Errors
-    ///
-    /// See [`Campaign::merge_to_writer`].
-    pub fn merge_report(
-        &self,
-        inputs: &[PathBuf],
-        opts: &MergeOptions,
-    ) -> Result<(SweepReport, MergeSummary), CampaignError> {
-        let (text, summary) = self.merge_to_string(inputs, opts)?;
-        let report: SweepReport =
-            serde_json::from_str(&text).map_err(|e| io_err(Path::new(MERGE_OUTPUT), e))?;
-        Ok((report, summary))
     }
 }
 

@@ -312,9 +312,9 @@ pub trait TraceSink: Send + std::fmt::Debug {
     fn flush(&mut self) {}
 }
 
-/// Discards every event: the zero-cost sink for proving the
-/// instrumented hot loop is within noise of the uninstrumented one
-/// (`crates/bench/src/bin/throughput.rs` gates this).
+/// Discards every event: the control sink for proving that
+/// instrumentation leaves simulated results bit-identical
+/// (`tests/trace_determinism.rs::null_sink_is_transparent`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 

@@ -5,7 +5,8 @@
 //! run by CI's `check` job with the workspace tests. External (`://`, `mailto:`) links and
 //! in-page `#anchors` are out of scope. DESIGN.md §3's crate table is
 //! held to the source tree the same way: every module it names exists,
-//! and every module that exists is named.
+//! and every module that exists is named. So are the artifact, binary
+//! and environment-variable names the user-facing docs cite.
 
 use std::path::{Path, PathBuf};
 
@@ -75,20 +76,25 @@ fn broken_links(root: &Path, doc: &Path) -> Vec<String> {
     broken
 }
 
+/// `docs/*.md`, relative to the repo root: checked without being
+/// listed by hand.
+fn docs_dir_pages(root: &Path) -> Vec<PathBuf> {
+    let mut pages = Vec::new();
+    for entry in std::fs::read_dir(root.join("docs")).expect("docs/ exists") {
+        let path = entry.expect("readable docs/ entry").path();
+        if path.extension().is_some_and(|e| e == "md") {
+            pages.push(PathBuf::from("docs").join(path.file_name().expect("file name")));
+        }
+    }
+    pages.sort();
+    pages
+}
+
 #[test]
 fn relative_links_in_docs_resolve() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut docs: Vec<PathBuf> = DOCS.iter().map(PathBuf::from).collect();
-    // Everything under docs/ is checked without being listed by hand.
-    let docs_dir = root.join("docs");
-    let entries = std::fs::read_dir(&docs_dir).expect("docs/ exists");
-    for entry in entries {
-        let entry = entry.expect("readable docs/ entry");
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "md") {
-            docs.push(PathBuf::from("docs").join(path.file_name().expect("file name")));
-        }
-    }
+    docs.extend(docs_dir_pages(&root));
     let mut broken = Vec::new();
     for doc in &docs {
         broken.extend(broken_links(&root, doc));
@@ -138,15 +144,14 @@ fn design_crate_table(design: &str) -> Vec<(String, Vec<String>)> {
         .collect()
 }
 
-/// The file stems of every `.rs` file under `dir`, recursively.
-fn rs_stems(dir: &Path, out: &mut Vec<String>) {
+/// Every `.rs` file under `dir`, recursively.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
         let path = entry.expect("readable directory entry").path();
         if path.is_dir() {
-            rs_stems(&path, out);
+            rs_files(&path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
-            let stem = path.file_stem().expect("file stem");
-            out.push(stem.to_string_lossy().into_owned());
+            out.push(path);
         }
     }
 }
@@ -166,8 +171,17 @@ fn design_crate_table_names_exactly_the_real_modules() {
     }
     for (dir, modules) in &table {
         let src = root.join(dir).join("src");
-        let mut stems = Vec::new();
-        rs_stems(&src, &mut stems);
+        let mut files = Vec::new();
+        rs_files(&src, &mut files);
+        let stems: Vec<String> = files
+            .iter()
+            .map(|f| {
+                f.file_stem()
+                    .expect("file stem")
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
         for module in modules {
             if !stems.contains(module) {
                 problems.push(format!(
@@ -192,4 +206,114 @@ fn design_crate_table_names_exactly_the_real_modules() {
         "DESIGN.md §3's crate table disagrees with the tree:\n{}",
         problems.join("\n")
     );
+}
+
+/// Every `prefix`-led name in `text`: the `prefix` plus the longest run
+/// of characters `keep` accepts that follows it.
+fn names_after<'a>(text: &'a str, prefix: &str, keep: impl Fn(char) -> bool) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices(prefix) {
+        let rest = &text[at + prefix.len()..];
+        let len = rest.find(|c: char| !keep(c)).unwrap_or(rest.len());
+        out.push(&text[at..at + prefix.len() + len]);
+    }
+    out
+}
+
+/// The names of every binary target in the tree: `[[bin]]` entries,
+/// `src/bin/*.rs` files, and packages with a `src/main.rs`.
+fn binary_targets(root: &Path) -> Vec<String> {
+    let mut dirs = vec![root.to_path_buf(), root.join("perfbench")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        dirs.push(entry.expect("readable crates/ entry").path());
+    }
+    let mut bins = Vec::new();
+    for dir in dirs {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("Cargo.toml");
+        let main = dir.join("src/main.rs").exists();
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if let Some(value) = line.strip_prefix("name = ") {
+                if section == "[[bin]]" || (section == "[package]" && main) {
+                    bins.push(value.trim_matches('"').to_owned());
+                }
+            }
+        }
+        if let Ok(entries) = std::fs::read_dir(dir.join("src/bin")) {
+            for entry in entries {
+                let path = entry.expect("readable src/bin entry").path();
+                let stem = path.file_stem().expect("file stem");
+                bins.push(stem.to_string_lossy().into_owned());
+            }
+        }
+    }
+    bins
+}
+
+#[test]
+fn names_the_docs_cite_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut docs: Vec<PathBuf> = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        .iter()
+        .map(PathBuf::from)
+        .collect();
+    docs.extend(docs_dir_pages(&root));
+    let bins = binary_targets(&root);
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "perfbench/src"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    let sources: String = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).expect("readable source"))
+        .collect();
+    let mut stale = Vec::new();
+    for doc in &docs {
+        let text = std::fs::read_to_string(root.join(doc)).expect("readable doc");
+        let doc = doc.display();
+        // Artifacts: `BENCH_NAME.json` and `BENCH_*.json` are placeholders.
+        let artifact = |c: char| c.is_ascii_alphanumeric() || "_*.".contains(c);
+        for file in names_after(&text, "BENCH_", artifact) {
+            let file = file.trim_end_matches('.');
+            let placeholder = file == "BENCH_NAME.json" || file == "BENCH_*.json";
+            if file.ends_with(".json") && !placeholder && !root.join(file).is_file() {
+                stale.push(format!("{doc}: `{file}` is no file at the repo root"));
+            }
+        }
+        for flag in names_after(&text, "--bin ", |c| {
+            c.is_ascii_alphanumeric() || "_-".contains(c)
+        }) {
+            let name = &flag["--bin ".len()..];
+            if !bins.iter().any(|b| b == name) {
+                stale.push(format!("{doc}: `{flag}` names no binary target"));
+            }
+        }
+        for name in names_after(&text, "VSV_", |c| c.is_ascii_uppercase() || c == '_') {
+            let name = name.trim_end_matches('_');
+            if !sources.contains(&format!("\"{name}\"")) {
+                stale.push(format!("{doc}: `{name}` is read by no source file"));
+            }
+        }
+    }
+    stale.sort();
+    stale.dedup();
+    assert!(
+        stale.is_empty(),
+        "the docs cite names the tree no longer has:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn name_extraction_takes_the_longest_run() {
+    let text = "run --bin campaign_scale; set VSV_INSTS, VSV_CAMPAIGN_JSON.";
+    let upper = |c: char| c.is_ascii_uppercase() || c == '_';
+    assert_eq!(
+        names_after(text, "VSV_", upper),
+        ["VSV_INSTS", "VSV_CAMPAIGN_JSON"]
+    );
+    let bin = |c: char| c.is_ascii_alphanumeric() || "_-".contains(c);
+    assert_eq!(names_after(text, "--bin ", bin), ["--bin campaign_scale"]);
 }

@@ -6,9 +6,7 @@
 //! 2. a traced sweep's per-job buffers (and their grid-order
 //!    concatenation) do not depend on the worker count;
 //! 3. attaching a [`NullSink`] or a `full`-level [`ModeTrace`] leaves
-//!    the simulated results bit-identical to an un-instrumented run
-//!    (the bench gate in `crates/bench/src/bin/throughput.rs` bounds
-//!    the null sink's *cost*; this proves its *transparency*);
+//!    the simulated results bit-identical to an un-instrumented run;
 //! 4. every emitted line parses back into a [`TraceEvent`], and the
 //!    stream carries the structure the summarizer relies on (a
 //!    seeding `ModeEntered` first, one `WindowClosed` last).
