@@ -1,43 +1,8 @@
-//! [`GridSpec`], the grid `sweep` and `campaign` share; [`ConfigKind`];
-//! and the flag-value parsers behind [`crate::Command::parse`].
+//! [`GridSpec`], the grid `sweep` and `campaign` share, and the
+//! flag-value parsers behind [`crate::Command::parse`].
 
 use vsv::{Experiment, PolicySpec, Sweep, SystemConfig};
 use vsv_workloads::{spec2k_twins, twin};
-
-/// Which system configuration a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigKind {
-    /// The Table 1 baseline (VSV off).
-    Baseline,
-    /// VSV with both FSMs at 3/10 (the paper's headline config).
-    VsvFsm,
-    /// VSV without the FSMs (down on detect, up on first return).
-    VsvNoFsm,
-}
-
-impl ConfigKind {
-    pub(crate) fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "baseline" => Ok(ConfigKind::Baseline),
-            "vsv-fsm" | "vsv" => Ok(ConfigKind::VsvFsm),
-            "vsv-nofsm" => Ok(ConfigKind::VsvNoFsm),
-            other => Err(format!(
-                "unknown config '{other}' (expected baseline | vsv-fsm | vsv-nofsm)"
-            )),
-        }
-    }
-
-    /// Builds the [`SystemConfig`], optionally with Time-Keeping.
-    #[must_use]
-    pub fn to_config(self, timekeeping: bool) -> SystemConfig {
-        let base = match self {
-            ConfigKind::Baseline => SystemConfig::baseline(),
-            ConfigKind::VsvFsm => SystemConfig::vsv_with_fsms(),
-            ConfigKind::VsvNoFsm => SystemConfig::vsv_without_fsms(),
-        };
-        base.with_timekeeping(timekeeping)
-    }
-}
 
 /// The grid-defining flags shared by `sweep` and every `campaign`
 /// subcommand: the same flags must rebuild the same grid in every
@@ -149,49 +114,52 @@ pub(crate) fn parse_fault(raw: &str) -> Result<(usize, vsv::FaultKind), String> 
     Ok((cell, kind))
 }
 
-/// Parses a `--slo` value. Two forms:
-///
-/// * legacy `RATE_PPM,P99_NS`: max retry rate (retries per million
-///   fills) and max p99 added read latency (ns);
-/// * `KEY=VALUE,..` with keys `retry` (ppm), `fill_p99` (ns, added
-///   read latency), `p99`/`p999` (ns, end-to-end request latency —
-///   needs `--traffic` to be non-vacuous). Unspecified reliability
-///   ceilings are unbounded.
+/// Parses a `--slo` value, `KEY=VALUE,..` with keys `retry` (ppm),
+/// `fill_p99` (ns, added read latency) and `p99`/`p999` (ns,
+/// end-to-end request latency — needs `--traffic` to be non-vacuous),
+/// each at most once. Unspecified reliability ceilings are unbounded.
 pub(crate) fn parse_slo(raw: &str) -> Result<vsv::SloSpec, String> {
-    let num = |value: &str, what: &str| {
-        value
+    let mut spec = vsv::SloSpec::new(u64::MAX, u64::MAX);
+    for_each_key_value("--slo", raw, |key, value| {
+        let n = value
             .parse::<u64>()
-            .map_err(|e| format!("--slo {what} '{value}': {e}"))
-    };
-    if raw.contains('=') {
-        let mut spec = vsv::SloSpec::new(u64::MAX, u64::MAX);
-        for pair in raw.split(',') {
-            let Some((key, value)) = pair.split_once('=') else {
-                return Err(format!("--slo '{pair}': expected KEY=VALUE"));
-            };
-            let n = num(value, key)?;
-            match key {
-                "retry" => spec.max_retry_rate_ppm = n,
-                "fill_p99" => spec.max_added_latency_p99_ns = n,
-                "p99" => spec.max_request_p99_ns = Some(n),
-                "p999" => spec.max_request_p999_ns = Some(n),
-                other => {
-                    return Err(format!(
-                        "--slo key '{other}': expected retry | fill_p99 | p99 | p999"
-                    ))
-                }
+            .map_err(|e| format!("--slo {key} '{value}': {e}"))?;
+        match key {
+            "retry" => spec.max_retry_rate_ppm = n,
+            "fill_p99" => spec.max_added_latency_p99_ns = n,
+            "p99" => spec.max_request_p99_ns = Some(n),
+            "p999" => spec.max_request_p999_ns = Some(n),
+            other => {
+                return Err(format!(
+                    "--slo key '{other}': expected retry | fill_p99 | p99 | p999"
+                ))
             }
         }
-        return Ok(spec);
+        Ok(())
+    })?;
+    Ok(spec)
+}
+
+/// Hands each pair of a `KEY=VALUE,..` flag value to `apply`, in
+/// order; a pair without `=` or a key given twice is a usage error
+/// naming `flag`.
+fn for_each_key_value<'a>(
+    flag: &str,
+    raw: &'a str,
+    mut apply: impl FnMut(&'a str, &'a str) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut keys: Vec<&str> = Vec::new();
+    for pair in raw.split(',') {
+        let Some((key, value)) = pair.split_once('=') else {
+            return Err(format!("{flag} '{pair}': expected KEY=VALUE"));
+        };
+        if keys.contains(&key) {
+            return Err(format!("{flag} key '{key}' given twice"));
+        }
+        keys.push(key);
+        apply(key, value)?;
     }
-    let Some((rate_raw, p99_raw)) = raw.split_once(',') else {
-        return Err(format!(
-            "--slo '{raw}': expected RATE_PPM,P99_NS (e.g. --slo 50000,8) or KEY=VALUE,.. \
-             (keys: retry, fill_p99, p99, p999)"
-        ));
-    };
-    let (rate, p99) = (num(rate_raw, "retry rate")?, num(p99_raw, "p99 latency")?);
-    Ok(vsv::SloSpec::new(rate, p99))
+    Ok(())
 }
 
 /// Parses a `--traffic` value: `poisson:rate=R,size=S[,seed=N]` or
@@ -212,10 +180,7 @@ pub(crate) fn parse_traffic(raw: &str) -> Result<vsv::TrafficSpec, String> {
     let mut off: Option<u64> = None;
     let mut size: Option<u64> = None;
     let mut seed: Option<u64> = None;
-    for pair in rest.split(',') {
-        let Some((key, value)) = pair.split_once('=') else {
-            return Err(format!("--traffic '{pair}': expected KEY=VALUE"));
-        };
+    for_each_key_value("--traffic", rest, |key, value| {
         match key {
             "rate" | "burst" => {
                 let f: f64 = value
@@ -244,7 +209,8 @@ pub(crate) fn parse_traffic(raw: &str) -> Result<vsv::TrafficSpec, String> {
                 ))
             }
         }
-    }
+        Ok(())
+    })?;
     let need_f = |o: Option<f64>, key: &str| {
         o.ok_or_else(|| format!("--traffic {model}: missing {key}=VALUE"))
     };

@@ -13,20 +13,18 @@ mod reproduce;
 mod sweep;
 mod trace;
 
-pub use grid::{ConfigKind, GridSpec};
+pub use grid::GridSpec;
 
 use grid::{
     parse_cores, parse_fault, parse_ladder_depth, parse_number, parse_policy, parse_shard,
-    parse_slo, parse_traffic, unknown_twin,
+    parse_slo, parse_traffic,
 };
-use vsv::{Experiment, PolicySpec};
-use vsv_workloads::{spec2k_twins, table2_reference, twin};
+use vsv::PolicySpec;
+use vsv_workloads::{spec2k_twins, table2_reference};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// List the twins and their Table 2 reference numbers.
-    List,
     /// List the twins with their generator parameters alongside the
     /// paper's Table 2 targets.
     Workloads {
@@ -34,21 +32,6 @@ pub enum Command {
         /// by its per-core seed/stream breakdown (what a multicore
         /// run actually executes).
         cores: usize,
-    },
-    /// Run one twin under one configuration.
-    Run {
-        /// Twin name.
-        twin: String,
-        /// Configuration to run.
-        config: ConfigKind,
-        /// Attach Time-Keeping prefetching.
-        timekeeping: bool,
-        /// Measured instructions.
-        insts: u64,
-        /// Warm-up instructions.
-        warmup: u64,
-        /// Emit JSON instead of text.
-        json: bool,
     },
     /// Run baseline vs. VSV-with-FSMs and print the paper metrics.
     /// With `--policies`, run baseline vs. each named DVS policy and
@@ -224,7 +207,6 @@ impl Command {
             }
         }
         let mut twin_name: Option<String> = None;
-        let mut config = ConfigKind::Baseline;
         let mut timekeeping = false;
         let mut insts = 300_000u64;
         let mut warmup = 100_000u64;
@@ -262,7 +244,6 @@ impl Command {
             seen.push(arg);
             match arg.as_str() {
                 "--twin" => twin_name = Some(next_value("--twin", &mut it)?),
-                "--config" => config = ConfigKind::parse(&next_value("--config", &mut it)?)?,
                 "--tk" => timekeeping = true,
                 "--json" => json = true,
                 "--insts" => insts = parse_number(arg, it.next())?,
@@ -375,19 +356,10 @@ impl Command {
             })
         };
         match cmd.as_str() {
-            "list" => Ok(Command::List),
             "workloads" => Ok(Command::Workloads {
                 cores: single_cores(&cores_list, "workloads")?.unwrap_or(1),
             }),
             "help" | "--help" | "-h" => Ok(Command::Help),
-            "run" => Ok(Command::Run {
-                twin: need_twin(twin_name)?,
-                config,
-                timekeeping,
-                insts,
-                warmup,
-                json,
-            }),
             "compare" => {
                 let axes = [
                     !policies.is_empty(),
@@ -543,14 +515,8 @@ const GRID_FLAGS: [&str; 10] = [
 /// on its command line is a usage error rather than silently ignored.
 fn verb_flags(verb: &str) -> Option<Vec<&'static str>> {
     let (grid, own): (bool, &[&str]) = match verb {
-        "list" | "help" | "--help" | "-h" => (false, &[]),
+        "help" | "--help" | "-h" => (false, &[]),
         "workloads" => (false, &["--cores"]),
-        "run" => (
-            false,
-            &[
-                "--twin", "--config", "--tk", "--insts", "--warmup", "--json",
-            ],
-        ),
         "compare" => (
             false,
             &[
@@ -607,15 +573,12 @@ pub const USAGE: &str = "\
 vsv-cli — run the VSV (MICRO-36 2003) reproduction from the command line
 
 USAGE:
-  vsv-cli list
   vsv-cli workloads [--cores N]
-  vsv-cli run     --twin NAME [--config baseline|vsv-fsm|vsv-nofsm]
-                  [--tk] [--insts N] [--warmup N] [--json]
   vsv-cli compare --twin NAME [--policies A,B,.. | --ladders D1,D2,..
                   | --cores C1,C2,..]
                   [--tk] [--insts N] [--warmup N] [--workers N] [--json]
   vsv-cli sweep   [--twin NAME] [--policy NAME] [--ladder N] [--cores N] [--tk]
-                  [--error-rate F] [--slo PPM,NS | --slo KEY=VALUE,..]
+                  [--error-rate F] [--slo KEY=VALUE,..]
                   [--traffic MODEL:KEY=VALUE,..]
                   [--insts N] [--warmup N] [--workers N] [--json]
                   [--checkpoint FILE | --resume FILE | --trace FILE]
@@ -656,14 +619,13 @@ scaling quadratically with undervolting and exactly 0 at VDDH, drawn
 from a seeded counter PRNG (bit-identical for any worker count).
 Errored reads retry after a fixed detect + reissue delay; a read
 that exhausts its retry budget fails the cell with a typed
-unrecoverable-read error. --slo PPM,NS asserts a reliability SLO on
-every cell post-run: at most PPM retries per million fills and at
-most NS nanoseconds of p99 added read latency. The extended form
---slo KEY=VALUE,.. (keys: retry, fill_p99, p99, p999; unspecified
-retry/fill_p99 are unbounded) adds end-to-end request-latency
-ceilings p99/p999 in ns, judged against the --traffic request
-histogram (vacuously met without --traffic). Violations are
-reported per cell and exit with code 3 (cell failures win: 1). The
+unrecoverable-read error. --slo KEY=VALUE,.. asserts an SLO on every
+cell post-run, each key once: retry=PPM allows at most PPM retries
+per million fills, fill_p99=NS at most NS nanoseconds of p99 added
+read latency, and p99=NS/p999=NS are end-to-end request-latency
+ceilings judged against the --traffic request histogram (vacuously
+met without --traffic). An unspecified key is unbounded. Violations
+are reported per cell and exit with code 3 (cell failures win: 1). The
 error-backoff policy (--policy error-backoff) trades energy for
 reliability: it wraps dual-fsm (or ladder-fsm with --ladder) and
 climbs back to VDDH while the observed retry rate is high.
@@ -748,13 +710,14 @@ EXAMPLES:
   vsv-cli sweep --twin mcf --cores 2 --json
   vsv-cli sweep --policy ladder-fsm --ladder 4 --json
   vsv-cli sweep --policy always-high --json
-  vsv-cli sweep --twin mcf --error-rate 0.02 --slo 50000,8
-  vsv-cli sweep --twin mcf --policy error-backoff --error-rate 0.02 --slo 50000,8
+  vsv-cli sweep --twin mcf --error-rate 0.02 --slo retry=50000,fill_p99=8
+  vsv-cli sweep --twin mcf --policy error-backoff --error-rate 0.02 \\
+                --slo retry=50000,fill_p99=8
   vsv-cli sweep --twin mcf --traffic poisson:rate=0.02,size=5000
   vsv-cli sweep --twin mcf --traffic mmpp:rate=0.01,burst=0.2,on=20000,off=40000,size=5000 \\
                 --slo p99=60000,p999=120000
   vsv-cli sweep --twin mcf --inject-fault 1:unrecoverable-read
-  vsv-cli run --twin applu --config vsv-fsm --tk --json
+  vsv-cli sweep --twin applu --tk --json
   vsv-cli sweep --workers 4 --json
   vsv-cli sweep --checkpoint sweep.jsonl   # then, after a crash:
   vsv-cli sweep --resume sweep.jsonl
@@ -794,17 +757,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
 pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
     match cmd {
         Command::Help => Ok((USAGE.to_owned(), 0)),
-        Command::List => {
-            let mut out = String::new();
-            out.push_str("twin       paper IPC  paper MR  paper MR(TK)\n");
-            for r in table2_reference() {
-                out.push_str(&format!(
-                    "{:<10} {:>9.2} {:>9.1} {:>13.1}\n",
-                    r.name, r.ipc_base, r.mr_base, r.mr_tk
-                ));
-            }
-            Ok((out, 0))
-        }
         Command::Workloads { cores } => {
             let mut out = format!(
                 "{:<10} {:<12} {:>7} {:>6} {:>5} | {:>9} {:>8} {:>12}\n",
@@ -842,7 +794,7 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
             }
             out.push_str(
                 "(pattern/ws/far drive L2 misses per kilo-inst; paper columns are the \
-                 Table 2 calibration targets — see `list` for the compact form)\n",
+                 Table 2 calibration targets)\n",
             );
             if cores > 1 {
                 out.push_str(&format!(
@@ -851,30 +803,6 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
                 ));
             }
             Ok((out, 0))
-        }
-        Command::Run {
-            twin: name,
-            config,
-            timekeeping,
-            insts,
-            warmup,
-            json,
-        } => {
-            let params = twin(&name).ok_or_else(|| unknown_twin(&name))?;
-            let e = Experiment {
-                warmup_instructions: warmup,
-                instructions: insts,
-            };
-            let result = e
-                .try_run(&params, config.to_config(timekeeping))
-                .map_err(|err| err.to_string())?;
-            if json {
-                serde_json::to_string_pretty(&result)
-                    .map(|s| (s, 0))
-                    .map_err(|e| e.to_string())
-            } else {
-                Ok((result.to_string(), 0))
-            }
         }
         cmd @ Command::Compare { .. } => compare::execute(cmd),
         cmd @ (Command::Sweep { .. }
@@ -895,32 +823,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn parses_run_with_flags() {
-        let cmd = Command::parse(&sv(&[
-            "run", "--twin", "mcf", "--config", "vsv-fsm", "--tk", "--insts", "5000", "--warmup",
-            "1000", "--json",
-        ]))
-        .expect("valid");
-        assert_eq!(
-            cmd,
-            Command::Run {
-                twin: "mcf".to_owned(),
-                config: ConfigKind::VsvFsm,
-                timekeeping: true,
-                insts: 5000,
-                warmup: 1000,
-                json: true,
-            }
-        );
-    }
-
-    #[test]
     fn rejects_missing_twin_and_bad_flags() {
-        assert!(Command::parse(&sv(&["run"])).is_err());
-        assert!(Command::parse(&sv(&["run", "--twin", "mcf", "--bogus"])).is_err());
-        assert!(Command::parse(&sv(&["run", "--twin"])).is_err());
+        assert!(Command::parse(&sv(&["compare"])).is_err());
+        assert!(Command::parse(&sv(&["compare", "--twin", "mcf", "--bogus"])).is_err());
+        assert!(Command::parse(&sv(&["compare", "--twin"])).is_err());
         assert!(Command::parse(&sv(&["frobnicate"])).is_err());
-        assert!(Command::parse(&sv(&["run", "--twin", "mcf", "--config", "wat"])).is_err());
+        let err = Command::parse(&sv(&["sweep", "--twin", "mcf", "--config", "vsv"]))
+            .expect_err("--policy names the machine");
+        assert!(err.contains("unknown flag '--config'"), "{err}");
     }
 
     #[test]
@@ -930,46 +840,19 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn list_prints_all_twins() {
-        let out = execute(Command::List).expect("ok");
-        for p in spec2k_twins() {
-            assert!(out.contains(p.name), "missing {}", p.name);
+    fn unknown_twin_is_a_clean_error() {
+        for verb in ["sweep", "compare", "trace"] {
+            let cmd = Command::parse(&sv(&[verb, "--twin", "doom"])).expect("parses");
+            let err = execute(cmd).expect_err("unknown twin");
+            assert!(err.contains("doom"), "{verb}: {err}");
+            assert!(err.contains("mcf"), "{verb}: {err}");
         }
     }
 
     #[test]
-    fn run_unknown_twin_is_a_clean_error() {
-        let err = execute(Command::Run {
-            twin: "doom".to_owned(),
-            config: ConfigKind::Baseline,
-            timekeeping: false,
-            insts: 1000,
-            warmup: 100,
-            json: false,
-        })
-        .expect_err("unknown twin");
-        assert!(err.contains("doom"));
-        assert!(err.contains("mcf"));
-    }
-
-    #[test]
-    fn run_json_is_valid_json() {
-        let out = execute(Command::Run {
-            twin: "gzip".to_owned(),
-            config: ConfigKind::Baseline,
-            timekeeping: false,
-            insts: 3_000,
-            warmup: 1_000,
-            json: true,
-        })
-        .expect("runs");
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
-        assert!(v.get("avg_power_w").is_some());
-    }
-
-    #[test]
     fn parses_sweep_with_workers() {
-        let cmd = Command::parse(&sv(&["sweep", "--workers", "4", "--json"])).expect("valid");
+        let cmd =
+            Command::parse(&sv(&["sweep", "--workers", "4", "--tk", "--json"])).expect("valid");
         assert_eq!(
             cmd,
             Command::Sweep {
@@ -978,7 +861,7 @@ pub(crate) mod tests {
                     policy: None,
                     ladder: None,
                     cores: None,
-                    timekeeping: false,
+                    timekeeping: true,
                     insts: 300_000,
                     warmup: 100_000,
                     error_rate: 0.0,
@@ -1054,7 +937,7 @@ pub(crate) mod tests {
             "--error-rate",
             "0.02",
             "--slo",
-            "50000,8",
+            "retry=50000,fill_p99=8",
         ]))
         .expect("valid");
         let Command::Sweep { grid, .. } = cmd else {
@@ -1065,10 +948,6 @@ pub(crate) mod tests {
 
         let err = Command::parse(&sv(&["sweep", "--error-rate", "1.5"])).expect_err("out of range");
         assert!(err.contains("probability"), "{err}");
-        let err = Command::parse(&sv(&["sweep", "--slo", "50000"])).expect_err("missing p99");
-        assert!(err.contains("RATE_PPM,P99_NS"), "{err}");
-        let err = Command::parse(&sv(&["sweep", "--slo", "a,b"])).expect_err("non-numeric");
-        assert!(err.contains("retry rate"), "{err}");
     }
 
     #[test]
@@ -1121,8 +1000,8 @@ pub(crate) mod tests {
             err.contains("rate | burst | on | off | size | seed"),
             "{err}"
         );
-        // A malformed value is an error even when a later duplicate
-        // key would overwrite it.
+        // A malformed value is reported before a later duplicate of
+        // its key.
         let err = Command::parse(&sv(&[
             "sweep",
             "--traffic",
@@ -1137,6 +1016,9 @@ pub(crate) mod tests {
         ]))
         .expect_err("malformed then duplicate");
         assert!(err.contains("--traffic size 'x'"), "{err}");
+        let err = Command::parse(&sv(&["sweep", "--traffic", "poisson:rate=1,rate=2,size=5"]))
+            .expect_err("duplicate");
+        assert!(err.contains("--traffic key 'rate' given twice"), "{err}");
     }
 
     #[test]
@@ -1165,6 +1047,10 @@ pub(crate) mod tests {
         assert!(err.contains("retry | fill_p99 | p99 | p999"), "{err}");
         let err = Command::parse(&sv(&["sweep", "--slo", "p99=ten"])).expect_err("non-numeric");
         assert!(err.contains("p99 'ten'"), "{err}");
+        let err = Command::parse(&sv(&["sweep", "--slo", "50000,8"])).expect_err("positional");
+        assert!(err.contains("--slo '50000': expected KEY=VALUE"), "{err}");
+        let err = Command::parse(&sv(&["sweep", "--slo", "retry=5,retry=6"])).expect_err("twice");
+        assert!(err.contains("--slo key 'retry' given twice"), "{err}");
     }
 
     #[test]
@@ -1299,6 +1185,13 @@ pub(crate) mod tests {
         ] {
             let err = Command::parse(&args).expect_err("unknown policy");
             assert!(err.contains("unknown policy 'warp-speed'"), "{err}");
+            assert!(
+                err.ends_with(
+                    "valid policies: dual-fsm, always-high, always-low, immediate-down, \
+                     oracle-down, ladder-fsm, error-backoff"
+                ),
+                "{err}"
+            );
             for spec in PolicySpec::ALL {
                 assert!(err.contains(spec.name()), "{err} missing {}", spec.name());
             }
@@ -1373,6 +1266,9 @@ pub(crate) mod tests {
         for bad in ["0", "17", "two", ""] {
             let err = Command::parse(&sv(&["sweep", "--cores", bad])).expect_err("bad count");
             assert!(err.contains("core count"), "{err}");
+            if bad.parse::<usize>().is_ok() {
+                assert!(err.contains("expected 1..=16"), "{err}");
+            }
         }
         let err = Command::parse(&sv(&["compare", "--twin", "mcf", "--cores", "2,0"]))
             .expect_err("bad count in list");

@@ -14,8 +14,8 @@ mod traffic;
 use std::fmt::{self, Write as _};
 
 use vsv::{
-    mean_comparison, resolve_workers, Comparison, DownPolicy, Experiment, RunResult, Sweep,
-    SweepJob, SweepReport, SystemConfig, UpPolicy, VoltageLadder, VsvConfig,
+    mean_comparison, resolve_workers, Comparison, DownPolicy, Experiment, PolicySpec, RunResult,
+    Sweep, SweepJob, SweepReport, SystemConfig, UpPolicy, VoltageLadder, VsvConfig,
 };
 use vsv_power::DcgModel;
 use vsv_workloads::{
@@ -267,7 +267,7 @@ fn table2(e: &Experiment, runs: &[RunResult], out: &mut String) -> fmt::Result {
 fn figure4_grid(e: Experiment) -> Sweep {
     let configs = [
         SystemConfig::baseline(),
-        SystemConfig::vsv_without_fsms(),
+        SystemConfig::with_policy(PolicySpec::ImmediateDown),
         SystemConfig::vsv_with_fsms(),
     ];
     Sweep::over_grid(e, &spec2k_twins(), &configs)

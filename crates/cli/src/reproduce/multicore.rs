@@ -153,7 +153,8 @@ struct Report {
     /// The asymmetric mcf+gzip fairness probe.
     fairness: Fairness,
     /// True when every (twin, cores) cell saves chip-wide power
-    /// against its equally contended baseline — the CI gate.
+    /// against its equally contended baseline (asserted in the
+    /// committed file by `tests/committed_verdicts.rs`).
     chip_saving_positive_everywhere: bool,
 }
 

@@ -24,8 +24,8 @@ fn a_parse_error_exits_2_with_usage() {
 fn a_flag_the_verb_does_not_read_exits_2_with_usage() {
     for (args, want) in [
         (
-            &["run", "--twin", "gzip", "--cores", "4", "--workers", "7"][..],
-            "run does not take --cores",
+            &["trace", "--twin", "gzip", "--cores", "4", "--workers", "7"][..],
+            "trace does not take --cores",
         ),
         (
             &[

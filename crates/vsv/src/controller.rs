@@ -169,26 +169,11 @@ impl VsvConfig {
         }
     }
 
-    /// VSV with both FSMs at the paper's best thresholds (3/10 down,
-    /// 3/10 up).
-    #[must_use]
-    pub fn with_fsms() -> Self {
-        VsvConfig {
-            enabled: true,
-            ..Self::disabled()
-        }
-    }
-
-    /// VSV without the FSMs: down on every detected demand miss, up on
-    /// every demand return (Figure 4's white bars) — the
-    /// [`PolicySpec::ImmediateDown`] policy.
-    #[must_use]
-    pub fn without_fsms() -> Self {
-        Self::with_policy(PolicySpec::ImmediateDown)
-    }
-
     /// VSV under a named policy (FSM thresholds and circuit timing at
-    /// the defaults).
+    /// the defaults): [`PolicySpec::DualFsm`] is the paper's FSMs at
+    /// their best thresholds (3/10 down, 3/10 up), and
+    /// [`PolicySpec::ImmediateDown`] its FSM-free machine (Figure 4's
+    /// white bars).
     #[must_use]
     pub fn with_policy(policy: PolicySpec) -> Self {
         VsvConfig {
@@ -917,7 +902,7 @@ mod tests {
 
     #[test]
     fn immediate_policy_walks_the_figure2_timeline() {
-        let mut c = VsvController::new(VsvConfig::without_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::ImmediateDown));
         c.observe(&detected(10));
         // Next edge triggers the transition: 4 ns distribute at full
         // speed, then 12 ns ramp at half speed, then low.
@@ -934,7 +919,7 @@ mod tests {
 
     #[test]
     fn edges_halve_in_low_mode() {
-        let mut c = VsvController::new(VsvConfig::without_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::ImmediateDown));
         c.observe(&detected(0));
         // Run well into low mode.
         drive(&mut c, 0, 40, 0, 1);
@@ -952,7 +937,7 @@ mod tests {
 
     #[test]
     fn up_transition_follows_figure3_timeline() {
-        let mut c = VsvController::new(VsvConfig::without_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::ImmediateDown));
         c.observe(&detected(0));
         drive(&mut c, 0, 40, 0, 1);
         assert_eq!(c.mode(), Mode::Low);
@@ -971,7 +956,7 @@ mod tests {
 
     #[test]
     fn fsm_blocks_down_when_ilp_high() {
-        let mut c = VsvController::new(VsvConfig::with_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::DualFsm));
         c.observe(&detected(0));
         // Pipeline keeps issuing 4/cycle: window expires, stays High.
         let modes = drive(&mut c, 0, 30, 4, 1);
@@ -989,7 +974,7 @@ mod tests {
 
     #[test]
     fn fsm_allows_down_when_pipeline_idles() {
-        let mut c = VsvController::new(VsvConfig::with_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::DualFsm));
         c.observe(&detected(0));
         let modes = drive(&mut c, 0, 30, 0, 1);
         assert!(modes.contains(&Mode::Low), "idle pipeline must go low");
@@ -997,7 +982,7 @@ mod tests {
 
     #[test]
     fn voltage_profile_during_ramp() {
-        let mut c = VsvController::new(VsvConfig::without_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::ImmediateDown));
         c.observe(&detected(0));
         let mut vs = Vec::new();
         for now in 0..40 {
@@ -1027,7 +1012,7 @@ mod tests {
 
     #[test]
     fn all_returned_during_rampdown_bounces_back_up() {
-        let mut c = VsvController::new(VsvConfig::without_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::ImmediateDown));
         c.observe(&detected(0));
         drive(&mut c, 0, 20, 0, 1); // into RampDown / Low
                                     // Now the hierarchy reports nothing outstanding: the controller
@@ -1038,7 +1023,7 @@ mod tests {
 
     #[test]
     fn prefetch_misses_never_arm() {
-        let mut c = VsvController::new(VsvConfig::without_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::ImmediateDown));
         c.observe(&VsvSignal::L2MissDetected {
             demand: false,
             at: 0,
@@ -1050,7 +1035,7 @@ mod tests {
 
     #[test]
     fn up_fsm_holds_low_with_multiple_outstanding_and_no_ilp() {
-        let mut c = VsvController::new(VsvConfig::with_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::DualFsm));
         c.observe(&detected(0));
         drive(&mut c, 0, 40, 0, 2);
         assert_eq!(c.mode(), Mode::Low);
@@ -1064,7 +1049,7 @@ mod tests {
 
     #[test]
     fn up_fsm_ramps_up_when_ilp_returns() {
-        let mut c = VsvController::new(VsvConfig::with_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::DualFsm));
         c.observe(&detected(0));
         drive(&mut c, 0, 40, 0, 2);
         c.observe(&returned(40, 1));
@@ -1076,7 +1061,7 @@ mod tests {
 
     #[test]
     fn residency_accounting_sums_to_elapsed() {
-        let mut c = VsvController::new(VsvConfig::without_fsms());
+        let mut c = VsvController::new(VsvConfig::with_policy(PolicySpec::ImmediateDown));
         c.observe(&detected(0));
         drive(&mut c, 0, 100, 0, 1);
         let total: u64 = c.stats().ns_in_mode.iter().sum();

@@ -982,7 +982,7 @@ mod tests {
 
     #[test]
     fn built_policies_report_their_spec_name() {
-        let cfg = crate::VsvConfig::with_fsms();
+        let cfg = crate::VsvConfig::with_policy(PolicySpec::DualFsm);
         for spec in PolicySpec::ALL {
             assert_eq!(spec.build(&cfg).name(), spec.name());
         }
@@ -1181,7 +1181,7 @@ mod tests {
 
     #[test]
     fn error_backoff_engages_on_retry_bursts_and_vetoes_dives() {
-        let cfg = crate::VsvConfig::with_fsms();
+        let cfg = crate::VsvConfig::with_policy(PolicySpec::DualFsm);
         let mut p = PolicySpec::ErrorBackoff.build(&cfg);
         assert_eq!(p.name(), "error-backoff");
         // Below the threshold: retries are tolerated.
@@ -1216,7 +1216,7 @@ mod tests {
 
     #[test]
     fn error_backoff_rearms_after_cooldown() {
-        let cfg = crate::VsvConfig::with_fsms();
+        let cfg = crate::VsvConfig::with_policy(PolicySpec::DualFsm);
         let mut p = PolicySpec::ErrorBackoff.build(&cfg);
         for i in 0..u64::from(BACKOFF_RETRY_THRESHOLD) {
             let _ = p.on_read_retry(i);
@@ -1239,7 +1239,7 @@ mod tests {
 
     #[test]
     fn error_backoff_windows_do_not_accumulate_sparse_retries() {
-        let cfg = crate::VsvConfig::with_fsms();
+        let cfg = crate::VsvConfig::with_policy(PolicySpec::DualFsm);
         let mut p = PolicySpec::ErrorBackoff.build(&cfg);
         // One retry per 2 windows: the bucket resets every time, so
         // the threshold is never reached.
@@ -1255,7 +1255,7 @@ mod tests {
 
     #[test]
     fn error_backoff_wraps_ladder_fsm_on_deep_ladders() {
-        let cfg = crate::VsvConfig::with_fsms().with_ladder_depth(4);
+        let cfg = crate::VsvConfig::with_policy(PolicySpec::DualFsm).with_ladder_depth(4);
         let p = PolicySpec::ErrorBackoff.build(&cfg);
         // The wrapper reports its own name; behavior checks live in
         // the system-level tests.

@@ -138,27 +138,15 @@ impl SystemConfig {
     }
 
     /// Baseline plus VSV with both FSMs (the paper's headline
-    /// configuration, black bars in Figure 4).
+    /// configuration, black bars in Figure 4):
+    /// `with_policy(PolicySpec::DualFsm)`.
     #[must_use]
     pub fn vsv_with_fsms() -> Self {
-        SystemConfig {
-            vsv: VsvConfig::with_fsms(),
-            ..Self::baseline()
-        }
-    }
-
-    /// Baseline plus VSV without the FSMs (white bars in Figure 4).
-    #[must_use]
-    pub fn vsv_without_fsms() -> Self {
-        SystemConfig {
-            vsv: VsvConfig::without_fsms(),
-            ..Self::baseline()
-        }
+        Self::with_policy(PolicySpec::DualFsm)
     }
 
     /// Baseline plus VSV under a named decision policy (FSM
-    /// thresholds and circuit timing at the defaults; for
-    /// [`PolicySpec::DualFsm`] this is [`SystemConfig::vsv_with_fsms`]).
+    /// thresholds and circuit timing at the defaults).
     #[must_use]
     pub fn with_policy(policy: PolicySpec) -> Self {
         SystemConfig {
@@ -1278,7 +1266,7 @@ mod tests {
         assert_eq!(SystemConfig::baseline().policy_name(), "disabled");
         assert_eq!(SystemConfig::vsv_with_fsms().policy_name(), "dual-fsm");
         assert_eq!(
-            SystemConfig::vsv_without_fsms().policy_name(),
+            SystemConfig::with_policy(PolicySpec::ImmediateDown).policy_name(),
             "immediate-down"
         );
     }
@@ -1378,7 +1366,7 @@ mod tests {
     #[test]
     fn mode_residency_sums_to_elapsed() {
         let mut sys = System::try_new(
-            SystemConfig::vsv_without_fsms(),
+            SystemConfig::with_policy(PolicySpec::ImmediateDown),
             Generator::new(memory_bound_params()),
         )
         .expect("valid config");

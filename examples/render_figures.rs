@@ -6,7 +6,7 @@
 //! cargo run --release --example render_figures [output-dir]
 //! ```
 
-use vsv::{Comparison, Experiment, ModeTrace, System, SystemConfig, TraceLevel};
+use vsv::{Comparison, Experiment, ModeTrace, PolicySpec, System, SystemConfig, TraceLevel};
 use vsv_viz::{GroupedBarChart, TimelineChart};
 use vsv_workloads::{twin, Generator};
 
@@ -28,7 +28,10 @@ fn main() {
         let params = twin(name).expect("twin exists");
         let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
         let no_fsm = e
-            .try_run(&params, SystemConfig::vsv_without_fsms())
+            .try_run(
+                &params,
+                SystemConfig::with_policy(PolicySpec::ImmediateDown),
+            )
             .expect("run");
         let fsm = e
             .try_run(&params, SystemConfig::vsv_with_fsms())

@@ -6,8 +6,10 @@
 //! in-page `#anchors` are out of scope. DESIGN.md §3's crate table is
 //! held to the source tree the same way: every module it names exists,
 //! and every module that exists is named. So are the artifact, binary
-//! and environment-variable names the user-facing docs cite.
+//! and environment-variable names the user-facing docs cite, and every
+//! Rust-looking name in their inline code.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// The documents whose links are checked, relative to the repo root.
@@ -37,6 +39,19 @@ fn link_targets(line: &str) -> Vec<&str> {
     out
 }
 
+/// The prose lines of a markdown text, numbered from 0: fenced code
+/// blocks (and their fences) are skipped.
+fn prose_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let mut in_code_block = false;
+    text.lines().enumerate().filter(move |(_, line)| {
+        if line.trim_start().starts_with("```") {
+            in_code_block = !in_code_block;
+            return false;
+        }
+        !in_code_block
+    })
+}
+
 /// Checks every relative link in `doc` (a path relative to the repo
 /// root), returning a list of broken-link descriptions.
 fn broken_links(root: &Path, doc: &Path) -> Vec<String> {
@@ -44,15 +59,7 @@ fn broken_links(root: &Path, doc: &Path) -> Vec<String> {
         .unwrap_or_else(|e| panic!("read {}: {e}", doc.display()));
     let dir = doc.parent().unwrap_or_else(|| Path::new(""));
     let mut broken = Vec::new();
-    let mut in_code_block = false;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim_start().starts_with("```") {
-            in_code_block = !in_code_block;
-            continue;
-        }
-        if in_code_block {
-            continue;
-        }
+    for (lineno, line) in prose_lines(&text) {
         for target in link_targets(line) {
             // External links and pure in-page anchors are not checked.
             if target.contains("://") || target.starts_with("mailto:") {
@@ -262,12 +269,15 @@ fn names_the_docs_cite_exist() {
     docs.extend(docs_dir_pages(&root));
     let bins = binary_targets(&root);
     let mut files = Vec::new();
-    for dir in ["crates", "src", "perfbench/src"] {
+    for dir in ["crates", "src", "examples", "perfbench/src"] {
         rs_files(&root.join(dir), &mut files);
     }
     let sources: String = files
         .iter()
         .map(|f| std::fs::read_to_string(f).expect("readable source"))
+        .collect();
+    let words: HashSet<&str> = sources
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .collect();
     let mut stale = Vec::new();
     for doc in &docs {
@@ -296,6 +306,20 @@ fn names_the_docs_cite_exist() {
                 stale.push(format!("{doc}: `{name}` is read by no source file"));
             }
         }
+        for (lineno, line) in prose_lines(&text) {
+            for name in rust_names(line) {
+                let path = name.trim_end_matches("()");
+                if EXTERNAL_NAMES.contains(&path) {
+                    continue;
+                }
+                if let Some(part) = path.split("::").find(|p| !words.contains(p)) {
+                    stale.push(format!(
+                        "{doc}:{}: `{name}` cites `{part}`, which no source has",
+                        lineno + 1
+                    ));
+                }
+            }
+        }
     }
     stale.sort();
     stale.dedup();
@@ -304,6 +328,40 @@ fn names_the_docs_cite_exist() {
         "the docs cite names the tree no longer has:\n{}",
         stale.join("\n")
     );
+}
+
+/// Names the docs cite in inline code that no `.rs` source under
+/// `crates/`, `src/`, `examples/` or `perfbench/src/` spells: a POSIX
+/// signal and the vendored serde stand-in's compiler interface.
+const EXTERNAL_NAMES: &[&str] = &["SIGPROF", "proc_macro", "serde_derive"];
+
+/// The Rust-looking names in one line's inline code spans: a span that
+/// is a `::`-path of identifiers, optionally called (`name()`), with a
+/// `::`, a call, an underscore or a capital letter in it. Plain words
+/// (`sweep`), flags and file names are not names.
+fn rust_names(line: &str) -> Vec<&str> {
+    let ident = |s: &str| {
+        s.chars().next().is_some_and(|c| !c.is_ascii_digit())
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    line.split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| {
+            let path = span.strip_suffix("()").unwrap_or(span);
+            path.split("::").all(ident)
+                && (*span != path
+                    || path.contains("::")
+                    || path.contains('_')
+                    || path.contains(|c: char| c.is_ascii_uppercase()))
+        })
+        .collect()
+}
+
+#[test]
+fn rust_name_extraction_takes_paths_calls_and_capitals() {
+    let line = "`System` runs `try_run()` via `vsv::Sweep`; `sweep`, `--tk`, `a.rs`, `H`, `x y`";
+    assert_eq!(rust_names(line), ["System", "try_run()", "vsv::Sweep", "H"]);
 }
 
 #[test]

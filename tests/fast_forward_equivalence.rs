@@ -8,7 +8,8 @@
 //! span, controller edge math) against their per-cycle references.
 
 use vsv::{
-    DownPolicy, ModeTrace, RunResult, System, SystemConfig, TraceLevel, UpPolicy, VsvController,
+    DownPolicy, ModeTrace, PolicySpec, RunResult, System, SystemConfig, TraceLevel, UpPolicy,
+    VsvController,
 };
 use vsv_power::{ActivitySample, PowerAccountant, PowerConfig};
 use vsv_workloads::{high_mr_names, spec2k_twins, twin, WorkloadParams};
@@ -60,7 +61,11 @@ fn assert_equivalent(params: WorkloadParams, cfg: SystemConfig, label: &str) {
 fn all_twins_equivalent_under_core_configs() {
     for params in spec2k_twins() {
         assert_equivalent(params, SystemConfig::baseline(), "baseline");
-        assert_equivalent(params, SystemConfig::vsv_without_fsms(), "vsv-without-fsms");
+        assert_equivalent(
+            params,
+            SystemConfig::with_policy(PolicySpec::ImmediateDown),
+            "vsv-without-fsms",
+        );
         assert_equivalent(params, SystemConfig::vsv_with_fsms(), "vsv-with-fsms");
     }
 }
@@ -304,7 +309,7 @@ fn controller_skip_matches_ticked_loop() {
         c
     };
     for ns in [1u64, 2, 3, 17, 40] {
-        let mut batched = into_low(VsvConfig::with_fsms());
+        let mut batched = into_low(VsvConfig::with_policy(PolicySpec::DualFsm));
         let mut stepped = batched.clone();
         assert!(batched.quiescent_skip_allowed(1));
         let from = 40u64;

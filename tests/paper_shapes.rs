@@ -3,7 +3,7 @@
 //! what ordering. Quantitative reproduction is `vsv-cli reproduce NAME`
 //! (see EXPERIMENTS.md); these tests guard the shapes.
 
-use vsv::{Comparison, DownPolicy, Experiment, SystemConfig, UpPolicy};
+use vsv::{Comparison, DownPolicy, Experiment, PolicySpec, SystemConfig, UpPolicy};
 use vsv_workloads::{twin, WorkloadParams};
 
 fn quick() -> Experiment {
@@ -74,7 +74,10 @@ fn fsms_reduce_degradation_at_some_power_cost() {
     let params = twin("applu").expect("applu twin exists");
     let base = e.try_run(&params, SystemConfig::baseline()).expect("run");
     let no_fsm = e
-        .try_run(&params, SystemConfig::vsv_without_fsms())
+        .try_run(
+            &params,
+            SystemConfig::with_policy(PolicySpec::ImmediateDown),
+        )
         .expect("run");
     let fsm = e
         .try_run(&params, SystemConfig::vsv_with_fsms())

@@ -1,11 +1,11 @@
 //! Cross-policy guarantees for the pluggable DVS policy layer:
 //!
 //! * `PolicySpec::DualFsm` is the paper's controller — selecting it
-//!   through the policy plumbing is bit-identical to the legacy
+//!   through the policy plumbing is bit-identical to the
 //!   `SystemConfig::vsv_with_fsms()` constructor (whose behaviour is
 //!   itself pinned by the golden/determinism suites, unchanged by the
 //!   policy refactor).
-//! * `PolicySpec::ImmediateDown` (which `vsv_without_fsms` selects)
+//! * `PolicySpec::ImmediateDown` (Figure 4's machine without FSMs)
 //!   reproduces the FSM-free controller exactly: the `dual-fsm` policy
 //!   with its monitors swapped for [`DownPolicy::Immediate`] /
 //!   [`UpPolicy::FirstReturn`].
@@ -99,7 +99,10 @@ fn immediate_down_policy_matches_the_fsm_free_controller() {
     for name in TWIN_MIX {
         let params = twin(name).expect("twin exists");
         let legacy = run(&params, fsm_free);
-        let policy = run(&params, SystemConfig::vsv_without_fsms());
+        let policy = run(
+            &params,
+            SystemConfig::with_policy(PolicySpec::ImmediateDown),
+        );
         assert_eq!(
             legacy, policy,
             "ImmediateDown diverged from the FSM-free dual-fsm on {name}"
